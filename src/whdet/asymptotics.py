@@ -128,7 +128,7 @@ def asymptote_log(spec: AsymptoteSpec, scale: float) -> complex:
 def ln_c_beta(beta) -> complex:
     """log of C_b = 2^{b^2} G(1/2)G(3/2)G(3/2+b)G(1/2-b) /
     [G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2)]."""
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
     if not -1.0 < b.real < 0.5:
         raise DomainError(f"C_beta needs -1 < Re beta < 1/2, got {b}")
     return b * b * LN_2 - ln_akhiezer_kac_E(b)

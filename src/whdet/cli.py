@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -208,10 +207,8 @@ def run_verify(cfg: RunConfig):
         if -0.5 < b.real < 0.5:
             # sign paired so the section converges at the fast rate
             sign = -1 if b.real >= 0 else +1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sec = structured.hankel_section_inverse_det(
-                    -b, 4, sign, N=max(cfg.trunc_N, 32))
+            sec = structured.hankel_section_inverse_det(
+                -b, 4, sign, N=max(cfg.trunc_N, 32))
             _check(rows, violations, f"inverse-section({b})",
                    rel_exp_diff(sec.value, structured.d_n(-b, 4, sign)),
                    max(tol, 1e-3))
@@ -357,18 +354,16 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if cfg.command == "verify":
-                rows, violations = run_verify(cfg)
-            elif cfg.command == "sweep-discrete":
-                rows, violations = _sweep_rows(cfg, continuous=False)
-            elif cfg.command == "sweep-continuous":
-                rows, violations = _sweep_rows(cfg, continuous=True)
-            elif cfg.command == "sech-lab":
-                rows, violations = run_sech_lab(cfg)
-            else:
-                rows, violations = run_constants(cfg)
+        if cfg.command == "verify":
+            rows, violations = run_verify(cfg)
+        elif cfg.command == "sweep-discrete":
+            rows, violations = _sweep_rows(cfg, continuous=False)
+        elif cfg.command == "sweep-continuous":
+            rows, violations = _sweep_rows(cfg, continuous=True)
+        elif cfg.command == "sech-lab":
+            rows, violations = run_sech_lab(cfg)
+        else:
+            rows, violations = run_constants(cfg)
     except WhdetError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

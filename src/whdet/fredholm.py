@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .logdet import LogDet, logdet
-from .params import BetaContext, beta_value
+from .params import BetaContext, beta_value, check_sign
 from .quadrature import QuadRule, gauss_rule
 from .structured import ln_det_hankel_reg_exact
 
@@ -138,6 +138,7 @@ def nystrom(spec: KernelSpec, rule: Optional[QuadRule] = None) -> NystromOp:
 
 def fredholm_logdet(op: NystromOp, sign: int) -> LogDet:
     """log det(I +- K) of a discretized operator."""
+    check_sign(sign)
     m = op.matrix
     return logdet(np.eye(m.shape[0], dtype=m.dtype) + sign * m)
 

@@ -86,6 +86,12 @@ def beta_value(beta, context: BetaContext) -> complex:
     return check_beta(beta, context)
 
 
+def check_sign(sign) -> None:
+    """Reject a sign of a +- determinant other than +1 or -1."""
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+
+
 def is_near_nonpositive_integer(z: complex, tol: float = EXCLUSION_TOL) -> bool:
     """True if z is within tol of 0, -1, -2, ..."""
     z = complex(z)

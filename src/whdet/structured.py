@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceWarning, DomainError
 from .logdet import LogDet, logdet
-from .params import BetaContext, beta_value
+from .params import BetaContext, beta_value, check_sign
 from .specfun import ln_barnes_g
 from .symbols import (
     CircleKind,
@@ -55,7 +55,8 @@ def _v_coeff_array(beta: complex, n: int) -> np.ndarray:
 
 def d_n(beta, n: int, sign: int) -> LogDet:
     """log det[T_n(v_beta) +- H_n(v_beta)] by dense LU (matrix route)."""
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
+    check_sign(sign)
     if b.real <= -0.5:
         raise DomainError("matrix route needs Re beta > -1/2")
     if n < 1:
@@ -74,6 +75,7 @@ def d_n_exact(beta, n: int, sign: int) -> LogDet:
     Valid on the analytically continued domains (beta off -1/2, -3/2, ...
     for the + sign, off -3/2, -5/2, ... for the - sign).
     """
+    check_sign(sign)
     ctx = BetaContext.DISCRETE_PLUS if sign > 0 else BetaContext.DISCRETE_MINUS
     b = beta_value(beta, ctx)
     if n < 1:
@@ -104,7 +106,7 @@ def d_n_exact(beta, n: int, sign: int) -> LogDet:
 
 def det_tn_exact(beta, n: int) -> LogDet:
     """Exact det T_n(v_beta) = G(1+b)^2/G(1+2b) * G(1+n)G(1+2b+n)/G(1+b+n)^2."""
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
     if n < 1:
         raise DomainError("n must be positive")
     ln = (
@@ -142,7 +144,8 @@ def hankel_section_inverse_det(
     Toeplitz+-Hankel determinants: sign=+ requires -1/2 < Re beta < 3/2,
     sign=- requires -3/2 < Re beta < 1/2.
     """
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
+    check_sign(sign)
     if sign > 0 and not -0.5 < b.real < 1.5:
         raise DomainError("sign=+ pairing needs -1/2 < Re beta < 3/2")
     if sign < 0 and not -1.5 < b.real < 0.5:
@@ -173,7 +176,8 @@ def hankel_section_inverse_det(
 def ln_det_hankel_reg_exact(beta, r: float, sign: int) -> complex:
     """Closed form of log det(I +- H(u_{beta,r})):
     ((1-r)/(1+r))^{+-b/2} (1-r^2)^{b^2/2}."""
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
+    check_sign(sign)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"need 0 <= r < 1, got {r}")
     if r == 0.0:
@@ -188,7 +192,8 @@ def fredholm_det_hankel_reg(beta, r: float, sign: int, N: int | None = None) -> 
     geometric tail bound; N defaults to the length at which the dropped
     entries fall below 1e-16.
     """
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
+    check_sign(sign)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"need 0 <= r < 1, got {r}")
     if r == 0.0:

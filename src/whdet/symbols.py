@@ -3,8 +3,8 @@
 Circle symbols generate Toeplitz/Hankel matrices through their Fourier
 coefficients; line symbols generate truncated convolution operators
 through the Fourier transform of (symbol - 1).  The singular symbols get
-closed-form coefficients; the regularized ones get convergent series; a
-quadrature oracle backs both.
+closed-form coefficients; the regularized ones get theirs from one FFT of
+the sampled symbol; a quadrature oracle backs both.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import quad
 from scipy.special import loggamma
 
@@ -167,43 +168,25 @@ def fourier_coeff_u(beta, k: int) -> complex:
     return complex(np.sin(np.pi * b) / (np.pi * (b - k)))
 
 
-def _binom_series(b: complex, nterms: int) -> np.ndarray:
-    """Coefficients of (1 - w)^b = sum_j c_j w^j with c_j = binom(b, j)(-1)^j."""
-    c = np.empty(nterms, dtype=complex)
-    c[0] = 1.0
-    for j in range(nterms - 1):
-        c[j + 1] = c[j] * (j - b) / (j + 1)
-    return c
-
-
-def reg_coeff_table(s: CircleSymbol, kmax: int, tail_tol: float = 1e-14) -> np.ndarray:
+def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
     """Coefficients k = -kmax..kmax of a regularized symbol, as one array.
 
-    Cauchy product of the two binomial series in (r t) and (r / t); the
-    truncation length is chosen so the geometric tail is below tail_tol.
+    One FFT of the symbol sampled at M equispaced angles.  The symbol is
+    analytic on r < |t| < 1/r, so the coefficients decay like r^|k| and
+    the aliasing error of coefficient k is of the size of c_{k +- M}; M
+    leaves a margin of (40 + 4|b|)/(-ln r) beyond 2 kmax + 1, where that
+    decay has fallen below e^{-40}.
     """
     if s.kind not in _REGULARIZED_CIRCLE:
         raise DomainError("coefficient table only for regularized kinds")
-    b = complex(s.beta)
-    r = s.r
-    if r == 0.0:
+    if s.r == 0.0:
         out = np.zeros(2 * kmax + 1, dtype=complex)
         out[kmax] = 1.0
         return out
-    # terms fall off like r^(2l+|k|) with an algebraic prefactor
-    nt = kmax + max(64, int(np.ceil((40.0 + 4 * abs(b)) / max(-np.log(r), 1e-12))))
-    cpos = _binom_series(b, nt)                      # (1 - r t)^b
-    bneg = -b if s.kind is CircleKind.UBETA_R else b
-    cneg = _binom_series(bneg, nt)                   # (1 - r/t)^{+-b}
-    rp = r ** np.arange(nt)
-    a_up = cpos * rp
-    a_dn = cneg * rp
-    out = np.empty(2 * kmax + 1, dtype=complex)
-    for k in range(-kmax, kmax + 1):
-        lo = max(0, -k)
-        ls = np.arange(lo, nt - max(k, 0))
-        out[k + kmax] = np.sum(a_up[ls + k] * a_dn[ls])
-    return out
+    tail = int(np.ceil((40.0 + 4 * abs(complex(s.beta))) / -np.log(s.r)))
+    M = scipy.fft.next_fast_len(2 * kmax + 1 + tail)
+    c = scipy.fft.fft(eval_circle(s, 2.0 * np.pi / M * np.arange(M))) / M
+    return np.concatenate([c[M - kmax:], c[: kmax + 1]])
 
 
 def fourier_coeff_regularized(s: CircleSymbol, k: int) -> complex:

@@ -18,12 +18,13 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
 from .logdet import LogDet, logdet
+from .params import check_sign
 from .quadrature import QuadRule, gauss_rule
 from .specfun import ln_barnes_g
 from .symbols import CutKernel, LineKind, LineSymbol, cut_kernel, eval_line
 
 _SUPPORTED = (LineKind.VHAT_EPS, LineKind.PHI, LineKind.UHAT_EPS)
-#: beyond this truncation the e^{+eta x} factor in the fast path overflows
+#: beyond this truncation the e^{+eta x} factor of the cut assembly overflows
 _FAST_PATH_MAX_R = 600.0
 
 
@@ -69,6 +70,7 @@ class TruncatedWH:
             raise DomainError(f"symbol kind {self.symbol.kind} not supported for truncation")
         if self.R <= 0:
             raise DomainError("R must be positive")
+        check_sign(self.sign)
 
 
 def _sech_blocks(beta: complex, xs: np.ndarray):
@@ -79,24 +81,21 @@ def _sech_blocks(beta: complex, xs: np.ndarray):
 
 def _cut_blocks(ker: CutKernel, xs: np.ndarray):
     """W-block k(x_i-x_j) and H-block k(x_i+x_j) from a cut representation."""
+    if xs[-1] > _FAST_PATH_MAX_R:
+        raise DomainError(
+            f"cut kernel assembly needs nodes in [0, {_FAST_PATH_MAX_R:g}], "
+            f"got a node at {xs[-1]:.6g}")
     eta = ker.eta
-    if xs[-1] <= _FAST_PATH_MAX_R:
-        e_dn = np.exp(-np.outer(xs, eta))           # e^{-eta x_i}
-        e_up = np.exp(np.outer(xs, eta))            # e^{+eta x_j}
-        lower = e_dn @ (e_up * ker.w_pos).T         # valid on i >= j
-        if ker.w_pos is ker.w_neg or np.array_equal(ker.w_pos, ker.w_neg):
-            KW = np.tril(lower) + np.tril(lower, -1).T
-        else:
-            upper = e_dn @ (e_up * ker.w_neg).T     # k(neg) at |x_i-x_j|, use on i < j
-            diag = 0.5 * (np.sum(ker.w_pos) + np.sum(ker.w_neg))
-            KW = np.tril(lower, -1) + np.triu(upper.T, 1) + np.diag(np.full(len(xs), diag))
-        KH = e_dn @ (e_dn * ker.w_pos).T
-        return KW, KH
-    # chunked fallback for very long intervals
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    D, S = X - Y, X + Y
-    KW = ker(D.ravel()).reshape(D.shape)
-    KH = ker(S.ravel()).reshape(S.shape)
+    e_dn = np.exp(-np.outer(xs, eta))           # e^{-eta x_i}
+    e_up = np.exp(np.outer(xs, eta))            # e^{+eta x_j}
+    lower = e_dn @ (e_up * ker.w_pos).T         # valid on i >= j
+    if ker.w_pos is ker.w_neg or np.array_equal(ker.w_pos, ker.w_neg):
+        KW = np.tril(lower) + np.tril(lower, -1).T
+    else:
+        upper = e_dn @ (e_up * ker.w_neg).T     # k(neg) at |x_i-x_j|, use on i < j
+        diag = 0.5 * (np.sum(ker.w_pos) + np.sum(ker.w_neg))
+        KW = np.tril(lower, -1) + np.triu(upper.T, 1) + np.diag(np.full(len(xs), diag))
+    KH = e_dn @ (e_dn * ker.w_pos).T
     return KW, KH
 
 
@@ -134,7 +133,7 @@ def ln_akhiezer_kac_E(beta) -> complex:
     """log of the R-independent constant for the sech symbol:
     G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2) /
     [G(1/2) G(3/2) G(3/2+b) G(1/2-b)]."""
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
     if not -1.5 < b.real < 0.5:
         raise DomainError(f"sech constant needs -3/2 < Re beta < 1/2, got {b}")
     num = 2.0 * (
@@ -201,7 +200,7 @@ def factor_product_logdet(beta, eps: float, R: float,
     representation.  The continuous determinant equals G[a]^R with
     ln G[a] = -beta (1 - eps).
     """
-    b = complex(beta.value if hasattr(beta, "value") else beta)
+    b = complex(beta)
     rule = rule or wh_rule(R)
     xs = rule.nodes
     # cut representation of k_+ (supported on w > 0): weights on [eps, 1]

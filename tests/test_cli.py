@@ -3,11 +3,12 @@ reproducibility."""
 
 import csv
 import json
+import warnings
 
 import pytest
 
 from whdet.cli import CSV_HEADER, main, parse_config
-from whdet.errors import SingularMatrix
+from whdet.errors import ConvergenceWarning, SingularMatrix
 
 
 def read_csv(path):
@@ -61,6 +62,17 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "run_verify", boom)
         assert main(["--command", "verify"]) == 3
+
+    def test_convergence_warning_reaches_caller(self, monkeypatch):
+        import whdet.cli as cli
+
+        def under_resolved(cfg):
+            warnings.warn("synthetic under-resolved section", ConvergenceWarning)
+            return [], []
+
+        monkeypatch.setattr(cli, "run_verify", under_resolved)
+        with pytest.warns(ConvergenceWarning, match="synthetic"):
+            assert main(["--command", "verify"]) == 0
 
 
 class TestSweeps:

@@ -2,7 +2,30 @@
 
 import pytest
 
-from whdet import BetaContext, BetaParam, DomainError, check_beta
+from whdet import (
+    BetaContext,
+    BetaParam,
+    DomainError,
+    KernelFamily,
+    KernelSpec,
+    LineKind,
+    LineSymbol,
+    TruncatedWH,
+    check_beta,
+    d_n,
+    d_n_exact,
+    det_tn_exact,
+    factor_product_logdet,
+    fredholm_det_hankel_reg,
+    fredholm_logdet,
+    gauss_rule,
+    hankel_section_inverse_det,
+    ln_akhiezer_kac_E,
+    ln_c_beta,
+    ln_det_hankel_reg_exact,
+    nystrom,
+    wh_rule,
+)
 
 
 class TestStrips:
@@ -52,3 +75,46 @@ class TestBetaParam:
         bp = BetaParam(0.25, BetaContext.DISCRETE_PLUS)
         ld = d_n_exact(bp, 4, +1)
         assert abs(ld.ln_abs) < 1.0
+
+
+# the public functions that take a BetaParam or a number and read it by complex(beta)
+BETA_READERS = {
+    "d_n": lambda b: d_n(b, 4, +1).log,
+    "det_tn_exact": lambda b: det_tn_exact(b, 4).log,
+    "hankel_section_inverse_det":
+        lambda b: hankel_section_inverse_det(b, 2, -1, N=64).value.log,
+    "ln_det_hankel_reg_exact": lambda b: ln_det_hankel_reg_exact(b, 0.5, +1),
+    "fredholm_det_hankel_reg": lambda b: fredholm_det_hankel_reg(b, 0.5, +1).log,
+    "ln_akhiezer_kac_E": ln_akhiezer_kac_E,
+    "factor_product_logdet":
+        lambda b: factor_product_logdet(b, 0.1, 2.0, rule=wh_rule(2.0, panels=4, nodes=8)).log,
+    "ln_c_beta": ln_c_beta,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETA_READERS))
+def test_beta_param_read_as_its_value(name):
+    b = -0.2 + 0.1j
+    fn = BETA_READERS[name]
+    assert fn(BetaParam(b, BetaContext.KERNEL_FAMILY)) == fn(b)
+
+
+# every entry point of a +- determinant, called with a given sign
+SIGN_TAKERS = {
+    "d_n": lambda s: d_n(0.3, 4, s),
+    "d_n_exact": lambda s: d_n_exact(0.3, 4, s),
+    "hankel_section_inverse_det": lambda s: hankel_section_inverse_det(0.3, 2, s, N=16),
+    "ln_det_hankel_reg_exact": lambda s: ln_det_hankel_reg_exact(0.3, 0.5, s),
+    "fredholm_det_hankel_reg": lambda s: fredholm_det_hankel_reg(0.3, 0.5, s),
+    "fredholm_logdet": lambda s: fredholm_logdet(
+        nystrom(KernelSpec(KernelFamily.K0, beta=0.3), gauss_rule(8, (0.0, 1.0))), s),
+    "TruncatedWH": lambda s: TruncatedWH(
+        LineSymbol(LineKind.VHAT_EPS, beta=0.3, eps=0.1), 5.0, sign=s),
+}
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+@pytest.mark.parametrize("name", sorted(SIGN_TAKERS))
+def test_sign_outside_plus_minus_one_rejected(name, sign):
+    with pytest.raises(DomainError, match="sign"):
+        SIGN_TAKERS[name](sign)

@@ -180,6 +180,42 @@ class TestRegularizedCoefficients:
             assert abs(table[k + 5] - fourier_coeff_regularized(s, k)) < 1e-15
 
 
+def cauchy_table(kind, beta, r, kmax):
+    """Test-side oracle: coefficients -kmax..kmax of (1 - r/t)^{+-b} (1 - r t)^b
+    as the Cauchy product of the two binomial series in r t and r/t."""
+    nt = kmax + 64 + int(np.ceil((40.0 + 4 * abs(beta)) / -np.log(r)))
+
+    def scaled_binom(b):  # binom(b, j) (-r)^j, j = 0 .. nt-1
+        j = np.arange(nt - 1)
+        return np.concatenate([[1.0], np.cumprod((j - b) / (j + 1) * r)])
+
+    up = scaled_binom(complex(beta))
+    dn = scaled_binom(-complex(beta) if kind is CircleKind.UBETA_R else complex(beta))
+    full = np.convolve(up, dn[::-1])  # index m holds t^(m - nt + 1)
+    return full[nt - 1 - kmax:nt + kmax]
+
+
+class TestRegularizedTableOracles:
+    @pytest.mark.parametrize("kind", [CircleKind.UBETA_R, CircleKind.VBETA_R])
+    @pytest.mark.parametrize("beta", [0.3, -0.4, 0.3 + 0.2j])
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+    def test_against_cauchy_product(self, kind, beta, r):
+        kmax = 300
+        table = reg_coeff_table(CircleSymbol(kind, beta=beta, r=r), kmax)
+        assert table.shape == (2 * kmax + 1,)
+        assert np.max(np.abs(table - cauchy_table(kind, beta, r, kmax))) <= 1e-14
+
+    def test_exact_beta_one_jump_table(self):
+        # (1 - r t)/(1 - r/t): c_1 = -r, c_k = 0 for k >= 2, c_{-l} = r^l (1 - r^2);
+        # r and kmax are criterion 4's largest (eps = 1e-3)
+        r, kmax = (1 - 1e-3) / (1 + 1e-3), 14020
+        table = reg_coeff_table(CircleSymbol(CircleKind.UBETA_R, beta=1.0, r=r), kmax)
+        want = np.zeros(2 * kmax + 1)
+        want[:kmax + 1] = r ** np.arange(kmax, -1, -1) * (1 - r * r)
+        want[kmax + 1] = -r
+        assert np.max(np.abs(table - want)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # line kernels
 # ---------------------------------------------------------------------------

@@ -178,3 +178,20 @@ class TestFactorProduct:
         target = -b * (1 - eps) * R
         assert abs(ld.ln_abs - target) < 1e-4
         assert abs(ld.arg) < 1e-10
+
+
+class TestCutAssemblyRange:
+    @pytest.mark.parametrize("det", [
+        lambda sym, rule: det_wr_pm_hr(TruncatedWH(sym, 700.0, rule, +1)),
+        lambda sym, rule: det_w2r(sym, 700.0, rule),
+    ], ids=["det_wr_pm_hr", "det_w2r"])
+    def test_beyond_overflow_range_raises(self, det):
+        # e^{+eta x} overflows past x = 600; a coarse rule keeps the
+        # matrices small, so a missing guard returns a number instead
+        with pytest.raises(DomainError):
+            det(vhat(0.3, 1e-3), wh_rule(700.0, panels=2, nodes=4))
+
+    def test_sech_symbol_unaffected(self):
+        sym = LineSymbol(LineKind.PHI, beta=0.3)
+        ld = det_w2r(sym, 700.0, wh_rule(700.0, panels=2, nodes=4))
+        assert np.isfinite(ld.ln_abs)
