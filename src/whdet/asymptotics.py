@@ -36,6 +36,10 @@ _STRIPS = {
     AsymKind.CONTINUOUS_MINUS: BetaContext.CONTINUOUS_MINUS,
     AsymKind.DISCRETE_PLUS: BetaContext.DISCRETE_PLUS,
     AsymKind.DISCRETE_MINUS: BetaContext.DISCRETE_MINUS,
+    AsymKind.W2R_CONT: BetaContext.MATRIX,
+    AsymKind.T2N_DISCRETE: BetaContext.MATRIX,
+    AsymKind.SECH: BetaContext.SECH,
+    AsymKind.CBETA: BetaContext.CONTINUOUS_MINUS,
 }
 
 
@@ -45,19 +49,7 @@ class AsymptoteSpec:
     beta: complex
 
     def __post_init__(self):
-        b = complex(self.beta)
-        ctx = _STRIPS.get(self.kind)
-        if ctx is not None:
-            beta_value(b, ctx)
-        elif self.kind in (AsymKind.W2R_CONT, AsymKind.T2N_DISCRETE):
-            if b.real <= -0.5:
-                raise DomainError("doubling asymptotics need Re beta > -1/2")
-        elif self.kind is AsymKind.SECH:
-            if not -1.5 < b.real < 0.5:
-                raise DomainError("sech asymptotics need -3/2 < Re beta < 1/2")
-        elif self.kind is AsymKind.CBETA:
-            if not -1.0 < b.real < 0.5:
-                raise DomainError("C_beta needs -1 < Re beta < 1/2")
+        beta_value(self.beta, _STRIPS[self.kind])
 
 
 def asymptote_log(spec: AsymptoteSpec, scale: float) -> complex:
@@ -128,9 +120,7 @@ def asymptote_log(spec: AsymptoteSpec, scale: float) -> complex:
 def ln_c_beta(beta) -> complex:
     """log of C_b = 2^{b^2} G(1/2)G(3/2)G(3/2+b)G(1/2-b) /
     [G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2)]."""
-    b = complex(beta)
-    if not -1.0 < b.real < 0.5:
-        raise DomainError(f"C_beta needs -1 < Re beta < 1/2, got {b}")
+    b = beta_value(beta, BetaContext.CONTINUOUS_MINUS)
     return b * b * LN_2 - ln_akhiezer_kac_E(b)
 
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import asymptotics, fredholm, structured, symbols, wienerhopf
 from .asymptotics import AsymKind, AsymptoteSpec, asymptote_log
-from .errors import WhdetError
+from .errors import DomainError, WhdetError
 from .logdet import LogDet, logdet, rel_exp_diff
+from .params import BetaContext, check_beta
 
 CSV_HEADER = [
     "scale",
@@ -39,6 +40,8 @@ CSV_HEADER = [
     "ratio_abs",
     "deviation",
 ]
+
+CHECK_HEADER = ["check", "measured", "tol"]
 
 CONSTANTS_HEADER = [
     "beta_re",
@@ -152,25 +155,14 @@ def _row(scale: float, value: LogDet, asym: complex) -> dict:
     }
 
 
-def _check(rows: list, violations: list, name: str, measured: float, tol: float):
-    """Record a residual as a table row; flag it when above tolerance."""
-    rows.append({
-        "scale": float(len(rows) + 1),
-        "value_ln_abs": measured,
-        "value_arg": 0.0,
-        "asymptote_ln_abs": 0.0,
-        "asymptote_arg": 0.0,
-        "ratio_abs": 1.0 + measured,
-        "deviation": measured,
-    })
-    if not measured <= tol:
-        violations.append({"check": name, "measured": measured, "tol": tol})
-
-
 def run_verify(cfg: RunConfig):
-    """Exact identities at the configured tolerance; rows carry residuals."""
-    rows, violations = [], []
+    """Exact identities as records {check, measured, tol}, and the records
+    whose residual is not within its tolerance (NaN included)."""
+    records = []
     tol = cfg.tol
+
+    def check(name: str, measured: float, tol: float):
+        records.append({"check": name, "measured": measured, "tol": tol})
 
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -179,47 +171,43 @@ def run_verify(cfg: RunConfig):
         A = 0.05 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         lhs, rhs = fredholm.quotient_identity(A, 3)
         worst = max(worst, abs(lhs.log - rhs.log))
-    _check(rows, violations, "quotient-identity", worst, max(tol, 1e-11))
+    check("quotient-identity", worst, max(tol, 1e-11))
 
     for b in cfg.betas:
-        ns = cfg.n_range or [4, 8]
-        for n in ns:
-            dm = structured.d_n(b, n, +1)
-            de = structured.d_n_exact(b, n, +1)
-            _check(rows, violations, f"d_n+({b},{n})", rel_exp_diff(dm, de), max(tol, 1e-8))
-            dm = structured.d_n(b, n, -1)
-            de = structured.d_n_exact(b, n, -1)
-            _check(rows, violations, f"d_n-({b},{n})", rel_exp_diff(dm, de), max(tol, 1e-8))
+        for n in cfg.n_range or [4, 8]:
+            dn = {}
+            for sign in (+1, -1):
+                dn[sign] = structured.d_n(b, n, sign)
+                check(f"d_n{sign:+d}({b:g},{n})",
+                      rel_exp_diff(dn[sign], structured.d_n_exact(b, n, sign)),
+                      max(tol, 1e-8))
             # Toeplitz doubling: det T_2n = D_n+ D_n-
             t2n = structured.logdet(structured.toeplitz(
                 lambda k: symbols.fourier_coeff_v(b, k), 2 * n))
-            prod = structured.d_n(b, n, +1) + structured.d_n(b, n, -1)
-            _check(rows, violations, f"toeplitz-doubling({b},{n})",
-                   rel_exp_diff(t2n, prod), max(tol, 1e-9))
+            check(f"toeplitz-doubling({b:g},{n})",
+                  rel_exp_diff(t2n, dn[+1] + dn[-1]), max(tol, 1e-9))
         # regularized Hankel closed form
         for r in (0.5, 0.8):
             for sign in (+1, -1):
                 got = structured.fredholm_det_hankel_reg(b, r, sign)
                 want = structured.ln_det_hankel_reg_exact(b, r, sign)
-                _check(rows, violations, f"hankel-reg({b},{r},{sign:+d})",
-                       abs(np.exp(got.log - want) - 1.0), max(tol, 1e-8))
+                check(f"hankel-reg({b:g},{r},{sign:+d})",
+                      abs(np.exp(got.log - want) - 1.0), max(tol, 1e-8))
         # inverse-section route at the configured truncation
         if -0.5 < b.real < 0.5:
             # sign paired so the section converges at the fast rate
             sign = -1 if b.real >= 0 else +1
             sec = structured.hankel_section_inverse_det(
                 -b, 4, sign, N=max(cfg.trunc_N, 32))
-            _check(rows, violations, f"inverse-section({b})",
-                   rel_exp_diff(sec.value, structured.d_n(-b, 4, sign)),
-                   max(tol, 1e-3))
+            check(f"inverse-section({b:g})",
+                  rel_exp_diff(sec.value, structured.d_n(-b, 4, sign)), max(tol, 1e-3))
         # Wiener-Hopf doubling with matched quadrature
         sym = symbols.LineSymbol(symbols.LineKind.VHAT_EPS, beta=b, eps=cfg.eps)
         rule = wienerhopf.wh_rule(10.0, panels=cfg.panels, nodes=cfg.nodes)
         ldp = wienerhopf.det_wr_pm_hr(wienerhopf.TruncatedWH(sym, 10.0, rule, +1))
         ldm = wienerhopf.det_wr_pm_hr(wienerhopf.TruncatedWH(sym, 10.0, rule, -1))
         ld2 = wienerhopf.det_w2r(sym, 20.0, wienerhopf.reflected_union_rule(rule))
-        _check(rows, violations, f"wh-doubling({b})",
-               rel_exp_diff(ld2, ldp + ldm), max(tol, 1e-6))
+        check(f"wh-doubling({b:g})", rel_exp_diff(ld2, ldp + ldm), max(tol, 1e-6))
         # kernel-family equality (discrete side)
         if abs(b.imag) < 1e-14 and -1 < b.real < 1 and b != 0:
             n0 = 2
@@ -229,42 +217,46 @@ def run_verify(cfg: RunConfig):
             r0 = (1 - 1e-2) / (1 + 1e-2)
             M = max(256, int(math.ceil(17.0 / -math.log(r0))))
             csym = symbols.CircleSymbol(symbols.CircleKind.UBETA_R, beta=b, r=r0)
-            co = symbols.reg_coeff_table(csym, 2 * M + 2 * n0 + 2)[2 * M + 2 * n0 + 2:]
-            co = co.real if abs(b.imag) < 1e-14 else co
+            co = symbols.reg_coeff_table(csym, 2 * M + 2 * n0 + 2)[2 * M + 2 * n0 + 2:].real
             j, k = np.indices((M, M))
             H = co[j + k + 2 * n0 + 1]
             hd = logdet(np.eye(M, dtype=H.dtype) + H)
-            _check(rows, violations, f"kernel-vs-section({b})",
-                   abs(np.exp(nys.log - hd.log) - 1.0), max(tol, 1e-6))
-    return rows, violations
+            check(f"kernel-vs-section({b:g})",
+                  abs(np.exp(nys.log - hd.log) - 1.0), max(tol, 1e-6))
+    return records, [c for c in records if not c["measured"] <= c["tol"]]
 
 
-def _sweep_rows(cfg: RunConfig, continuous: bool):
-    rows, violations = [], []
+def _wh_logdet(cfg: RunConfig, b: complex, sign: int, R: float) -> LogDet:
+    """det(W_R +- H_R) at panels p and 2p (p from --panels or wh_rule's
+    default) with one Richardson step in h: the O(h^2) error of the
+    diagonal kink is as large as the asymptotic deviation itself."""
+    sym = symbols.LineSymbol(symbols.LineKind.VHAT_EPS, beta=b, eps=cfg.eps)
+    coarse = wienerhopf.wh_rule(R, panels=cfg.panels, nodes=cfg.nodes)
+    fine = wienerhopf.wh_rule(R, panels=2 * coarse.grading[1], nodes=cfg.nodes)
+    ld_p, ld_2p = (wienerhopf.det_wr_pm_hr(wienerhopf.TruncatedWH(sym, R, rule, sign))
+                   for rule in (coarse, fine))
+    return LogDet.from_log(ld_2p.log + (ld_2p.log - ld_p.log) / 3.0)
+
+
+def _sweep_rows(cfg: RunConfig):
+    continuous = cfg.command == "sweep-continuous"
+    if continuous:
+        kinds = ((+1, AsymKind.CONTINUOUS_PLUS), (-1, AsymKind.CONTINUOUS_MINUS))
+        scales = cfg.r_range or [10.0, 20.0, 40.0]
+    else:
+        kinds = ((+1, AsymKind.DISCRETE_PLUS), (-1, AsymKind.DISCRETE_MINUS))
+        scales = cfg.n_range or [16, 32, 64]
+    rows = []
     for b in cfg.betas:
-        if continuous:
-            scales = cfg.r_range or [10.0, 20.0, 40.0]
-            for sign, kind in ((+1, AsymKind.CONTINUOUS_PLUS), (-1, AsymKind.CONTINUOUS_MINUS)):
-                try:
-                    spec = AsymptoteSpec(kind, b)
-                except WhdetError:
-                    continue  # beta outside this sign's strip
-                sym = symbols.LineSymbol(symbols.LineKind.VHAT_EPS, beta=b, eps=cfg.eps)
-                for R in scales:
-                    rule = wienerhopf.wh_rule(R, panels=cfg.panels, nodes=cfg.nodes)
-                    ld = wienerhopf.det_wr_pm_hr(wienerhopf.TruncatedWH(sym, R, rule, sign))
-                    rows.append(_row(R, ld, asymptote_log(spec, R)))
-        else:
-            scales = cfg.n_range or [16, 32, 64]
-            for sign, kind in ((+1, AsymKind.DISCRETE_PLUS), (-1, AsymKind.DISCRETE_MINUS)):
-                try:
-                    spec = AsymptoteSpec(kind, b)
-                except WhdetError:
-                    continue
-                for n in scales:
-                    ld = structured.d_n(b, n, sign)
-                    rows.append(_row(float(n), ld, asymptote_log(spec, float(n))))
-    return rows, violations
+        for sign, kind in kinds:
+            try:
+                spec = AsymptoteSpec(kind, b)
+            except DomainError:
+                continue  # beta outside this sign's strip
+            for s in scales:
+                ld = _wh_logdet(cfg, b, sign, s) if continuous else structured.d_n(b, s, sign)
+                rows.append(_row(float(s), ld, asymptote_log(spec, float(s))))
+    return rows, []
 
 
 def run_sech_lab(cfg: RunConfig):
@@ -279,11 +271,19 @@ def run_sech_lab(cfg: RunConfig):
     return rows, violations
 
 
+def _or_nan(constant, b: complex) -> complex:
+    """constant(b), or NaN where b lies outside the constant's strip."""
+    try:
+        return constant(b)
+    except DomainError:
+        return complex("nan")
+
+
 def run_constants(cfg: RunConfig):
     rows = []
     for b in cfg.betas:
-        e_phi = wienerhopf.akhiezer_kac_E(b) if -1.5 < b.real < 0.5 else complex("nan")
-        cb = asymptotics.c_beta(b) if -1.0 < b.real < 0.5 else complex("nan")
+        e_phi = _or_nan(wienerhopf.akhiezer_kac_E, b)
+        cb = _or_nan(asymptotics.c_beta, b)
         cplus = np.exp(asymptote_log(AsymptoteSpec(AsymKind.DISCRETE_PLUS, b), 1.0))
         cminus = np.exp(asymptote_log(AsymptoteSpec(AsymKind.DISCRETE_MINUS, b), 1.0))
         rows.append({
@@ -299,10 +299,12 @@ def run_constants(cfg: RunConfig):
 
 
 def write_output(cfg: RunConfig, rows: list, violations: list):
-    header = CONSTANTS_HEADER if cfg.command == "constants" else CSV_HEADER
+    header = {"constants": CONSTANTS_HEADER, "verify": CHECK_HEADER}.get(
+        cfg.command, CSV_HEADER)
+    cells = [{h: row[h] if isinstance(row[h], str) else f"{row[h]:.17g}" for h in header}
+             for row in rows]
     if cfg.out is None:
-        for row in rows:
-            print(",".join(f"{row[h]:.17g}" for h in header))
+        csv.DictWriter(sys.stdout, fieldnames=header, lineterminator="\n").writerows(cells)
         return
     if cfg.fmt == "json":
         doc = {
@@ -328,48 +330,41 @@ def write_output(cfg: RunConfig, rows: list, violations: list):
         with open(cfg.out, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=header)
             writer.writeheader()
-            for row in rows:
-                writer.writerow({h: f"{row[h]:.17g}" for h in header})
+            writer.writerows(cells)
+
+
+#: the strip of each command's routes; every beta of KERNEL_FAMILY, the cut
+#: kernel's strip, lies in at least one of the two continuous asymptote strips
+_COMMAND_STRIPS = {
+    "sweep-discrete": BetaContext.MATRIX,
+    "sweep-continuous": BetaContext.KERNEL_FAMILY,
+    "sech-lab": BetaContext.SECH,
+}
 
 
 def validate_betas(cfg: RunConfig):
     """Reject betas outside the strip the command's routes require."""
+    context = _COMMAND_STRIPS.get(cfg.command, BetaContext.FINITE)
     for b in cfg.betas:
-        if cfg.command == "sweep-discrete" and b.real <= -0.5:
-            raise ValueError(f"sweep-discrete needs Re beta > -1/2, got {b}")
-        if cfg.command == "sech-lab" and not -1.5 < b.real < 0.5:
-            raise ValueError(f"sech-lab needs -3/2 < Re beta < 1/2, got {b}")
-        if cfg.command == "sweep-continuous" and not -1.0 < b.real < 1.5:
-            raise ValueError(
-                f"sweep-continuous needs beta inside a valid strip, got {b}")
+        check_beta(b, context)
 
 
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
         validate_betas(cfg)
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return 0 if exc.code in (0, None) else 2
+        run = {"verify": run_verify, "sweep-discrete": _sweep_rows,
+               "sweep-continuous": _sweep_rows, "sech-lab": run_sech_lab,
+               "constants": run_constants}[cfg.command]
+        rows, violations = run(cfg)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    except (ValueError, DomainError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    try:
-        if cfg.command == "verify":
-            rows, violations = run_verify(cfg)
-        elif cfg.command == "sweep-discrete":
-            rows, violations = _sweep_rows(cfg, continuous=False)
-        elif cfg.command == "sweep-continuous":
-            rows, violations = _sweep_rows(cfg, continuous=True)
-        elif cfg.command == "sech-lab":
-            rows, violations = run_sech_lab(cfg)
-        else:
-            rows, violations = run_constants(cfg)
     except WhdetError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
     write_output(cfg, rows, violations)
     for v in violations:
         print(f"VIOLATION {v['check']}: {v['measured']:.3e} > {v['tol']:.3e}",

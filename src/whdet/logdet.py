@@ -35,9 +35,6 @@ class LogDet:
     def __sub__(self, other: "LogDet") -> "LogDet":
         return LogDet(self.ln_abs - other.ln_abs, self.arg - other.arg)
 
-    def scaled(self, factor: float) -> "LogDet":
-        return LogDet(factor * self.ln_abs, factor * self.arg)
-
     @property
     def log(self) -> complex:
         return complex(self.ln_abs, self.arg)
@@ -46,13 +43,6 @@ class LogDet:
     def from_log(cls, ln: complex) -> "LogDet":
         ln = complex(ln)
         return cls(ln.real, ln.imag)
-
-    @classmethod
-    def from_value(cls, det: complex) -> "LogDet":
-        det = complex(det)
-        if det == 0:
-            raise SingularMatrix("determinant is exactly zero")
-        return cls(math.log(abs(det)), math.atan2(det.imag, det.real))
 
 
 def rel_exp_diff(a: LogDet, b: LogDet) -> float:

@@ -1,10 +1,26 @@
 """Admissibility guards for the singularity exponent beta.
 
-Every route in the package is valid on a specific strip of the complex
-beta plane (matrix routes, closed forms, kernel discretizations and the
-two signs of the continuous asymptotics all differ).  ``BetaParam`` ties a
-value to the strip it was validated against, so downstream code can fail
-early and loudly instead of returning garbage.
+This module is the only place where a strip of the beta plane is written.
+Each public entry point reads beta once, by ``beta_value(beta, context)``,
+so a beta outside its route's strip, NaN included, raises DomainError
+before any work.  Strips are open intervals of Re b; upper-case entry
+points are AsymptoteSpec kinds.
+
+MATRIX            Re b > -1/2         fourier_coeff_v, d_n, W2R_CONT, T2N_DISCRETE
+SECH              (-3/2, 1/2)         LineSymbol(PHI), ln_akhiezer_kac_E, SECH,
+                                      hankel_section_inverse_det with sign -1
+CONTINUOUS_PLUS   (-1/2, 3/2)         CONTINUOUS_PLUS, hankel_section_inverse_det
+                                      with sign +1
+CONTINUOUS_MINUS  (-1, 1/2)           CONTINUOUS_MINUS, CBETA, ln_c_beta
+KERNEL_FAMILY     (-1, 1)             cut_kernel (so every cut route),
+                                      factor_product_logdet, KernelSpec
+DISCRETE_PLUS     b off -1/2, -3/2..  DISCRETE_PLUS, d_n_exact with sign +1
+DISCRETE_MINUS    b off -3/2, -5/2..  DISCRETE_MINUS, d_n_exact with sign -1
+FINITE            any finite b        CircleSymbol, the other LineSymbol kinds,
+                                      fourier_coeff_u, det_tn_exact,
+                                      ln_det_hankel_reg_exact, fredholm_det_hankel_reg
+
+``BetaParam`` ties a value to the strip it was validated against.
 """
 
 from __future__ import annotations
@@ -22,11 +38,27 @@ EXCLUSION_TOL = 1e-12
 class BetaContext(Enum):
     """Which admissibility rule a beta value must satisfy."""
 
-    DISCRETE_PLUS = "discrete+"        # Re b not in {-1/2, -3/2, ...}
-    DISCRETE_MINUS = "discrete-"       # Re b not in {-3/2, -5/2, ...}
-    CONTINUOUS_PLUS = "continuous+"    # -1/2 < Re b < 3/2
-    CONTINUOUS_MINUS = "continuous-"   # -1 < Re b < 1/2
-    KERNEL_FAMILY = "kernel"           # -1 < Re b < 1
+    DISCRETE_PLUS = "discrete+"
+    DISCRETE_MINUS = "discrete-"
+    CONTINUOUS_PLUS = "continuous+"
+    CONTINUOUS_MINUS = "continuous-"
+    KERNEL_FAMILY = "kernel"
+    MATRIX = "matrix"
+    SECH = "sech"
+    FINITE = "finite"
+
+
+#: open strips lo < Re b < hi
+_STRIPS = {
+    BetaContext.CONTINUOUS_PLUS: (-0.5, 1.5),
+    BetaContext.CONTINUOUS_MINUS: (-1.0, 0.5),
+    BetaContext.KERNEL_FAMILY: (-1.0, 1.0),
+    BetaContext.MATRIX: (-0.5, math.inf),
+    BetaContext.SECH: (-1.5, 0.5),
+    BetaContext.FINITE: (-math.inf, math.inf),
+}
+#: real points excluded from the plane: start, start - 1, start - 2, ...
+_LADDERS = {BetaContext.DISCRETE_PLUS: -0.5, BetaContext.DISCRETE_MINUS: -1.5}
 
 
 def _near_half_integer_ladder(x: float, start: float) -> bool:
@@ -40,28 +72,23 @@ def _near_half_integer_ladder(x: float, start: float) -> bool:
 def check_beta(value: complex, context: BetaContext) -> complex:
     """Validate a beta value against a context strip; return it as complex.
 
-    Raises DomainError when the value is outside the strip or on an
-    excluded pole/zero ladder.
+    Raises DomainError when the value is not finite, outside the strip or
+    on an excluded pole/zero ladder.
     """
     b = complex(value)
-    if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise DomainError(f"beta must be finite, got {value!r}")
     re = b.real
-    if context is BetaContext.DISCRETE_PLUS:
-        if b.imag == 0.0 and _near_half_integer_ladder(re, -0.5):
-            raise DomainError(f"beta={value!r} lies on the excluded set -1/2, -3/2, ...")
-    elif context is BetaContext.DISCRETE_MINUS:
-        if b.imag == 0.0 and _near_half_integer_ladder(re, -1.5):
-            raise DomainError(f"beta={value!r} lies on the excluded set -3/2, -5/2, ...")
-    elif context is BetaContext.CONTINUOUS_PLUS:
-        if not -0.5 < re < 1.5:
-            raise DomainError(f"Re beta={re} outside (-1/2, 3/2)")
-    elif context is BetaContext.CONTINUOUS_MINUS:
-        if not -1.0 < re < 0.5:
-            raise DomainError(f"Re beta={re} outside (-1, 1/2)")
-    elif context is BetaContext.KERNEL_FAMILY:
-        if not -1.0 < re < 1.0:
-            raise DomainError(f"Re beta={re} outside (-1, 1)")
+    if not (math.isfinite(re) and math.isfinite(b.imag)):
+        raise DomainError(f"beta must be finite, got {value!r}")
+    strip = _STRIPS.get(context)
+    if strip is not None:
+        lo, hi = strip
+        if not lo < re < hi:
+            raise DomainError(
+                f"Re beta = {re:g} outside the {context.name} strip ({lo:g}, {hi:g})")
+    elif b.imag == 0.0 and _near_half_integer_ladder(re, _LADDERS[context]):
+        start = _LADDERS[context]
+        raise DomainError(
+            f"beta={value!r} lies on the excluded set {start:g}, {start - 1:g}, ...")
     return b
 
 
@@ -81,9 +108,7 @@ class BetaParam:
 
 def beta_value(beta, context: BetaContext) -> complex:
     """Accept a BetaParam or a plain number; validate against context."""
-    if isinstance(beta, BetaParam):
-        return check_beta(beta.value, context)
-    return check_beta(beta, context)
+    return check_beta(beta.value if isinstance(beta, BetaParam) else beta, context)
 
 
 def check_sign(sign) -> None:

@@ -55,10 +55,8 @@ def _v_coeff_array(beta: complex, n: int) -> np.ndarray:
 
 def d_n(beta, n: int, sign: int) -> LogDet:
     """log det[T_n(v_beta) +- H_n(v_beta)] by dense LU (matrix route)."""
-    b = complex(beta)
+    b = beta_value(beta, BetaContext.MATRIX)
     check_sign(sign)
-    if b.real <= -0.5:
-        raise DomainError("matrix route needs Re beta > -1/2")
     if n < 1:
         raise DomainError("n must be positive")
     c = _v_coeff_array(b, n)
@@ -106,7 +104,7 @@ def d_n_exact(beta, n: int, sign: int) -> LogDet:
 
 def det_tn_exact(beta, n: int) -> LogDet:
     """Exact det T_n(v_beta) = G(1+b)^2/G(1+2b) * G(1+n)G(1+2b+n)/G(1+b+n)^2."""
-    b = complex(beta)
+    b = beta_value(beta, BetaContext.FINITE)
     if n < 1:
         raise DomainError("n must be positive")
     ln = (
@@ -141,15 +139,11 @@ def hankel_section_inverse_det(
     The infinite Hankel operator is truncated at N and 2N and the two
     values are Richardson-extrapolated in 1/N.  Pairing and sign follow
     the displayed identities relating this block determinant to the
-    Toeplitz+-Hankel determinants: sign=+ requires -1/2 < Re beta < 3/2,
-    sign=- requires -3/2 < Re beta < 1/2.
+    Toeplitz+-Hankel determinants: sign=+ reads beta on the
+    CONTINUOUS_PLUS strip, sign=- on the SECH strip.
     """
-    b = complex(beta)
     check_sign(sign)
-    if sign > 0 and not -0.5 < b.real < 1.5:
-        raise DomainError("sign=+ pairing needs -1/2 < Re beta < 3/2")
-    if sign < 0 and not -1.5 < b.real < 0.5:
-        raise DomainError("sign=- pairing needs -3/2 < Re beta < 1/2")
+    b = beta_value(beta, BetaContext.CONTINUOUS_PLUS if sign > 0 else BetaContext.SECH)
     if N is None:
         N = max(512, 8 * n)
     if N < 4 * n:
@@ -176,7 +170,7 @@ def hankel_section_inverse_det(
 def ln_det_hankel_reg_exact(beta, r: float, sign: int) -> complex:
     """Closed form of log det(I +- H(u_{beta,r})):
     ((1-r)/(1+r))^{+-b/2} (1-r^2)^{b^2/2}."""
-    b = complex(beta)
+    b = beta_value(beta, BetaContext.FINITE)
     check_sign(sign)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"need 0 <= r < 1, got {r}")
@@ -192,7 +186,7 @@ def fredholm_det_hankel_reg(beta, r: float, sign: int, N: int | None = None) -> 
     geometric tail bound; N defaults to the length at which the dropped
     entries fall below 1e-16.
     """
-    b = complex(beta)
+    b = beta_value(beta, BetaContext.FINITE)
     check_sign(sign)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"need 0 <= r < 1, got {r}")

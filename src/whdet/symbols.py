@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.special import loggamma
 
 from .errors import DomainError, QuadFailure, SingularPointError
-from .params import is_near_nonpositive_integer
+from .params import BetaContext, beta_value, is_near_nonpositive_integer
 from .quadrature import QuadRule, gauss_rule
 
 
@@ -44,6 +44,9 @@ class LineKind(Enum):
 _SINGULAR_CIRCLE = (CircleKind.VBETA, CircleKind.UBETA)
 _REGULARIZED_CIRCLE = (CircleKind.VBETA_R, CircleKind.UBETA_R)
 
+#: most samples reg_coeff_table takes: 1 GiB per complex array, 1-r >~ 6e-7
+_MAX_SAMPLES = 2**26
+
 
 @dataclass(frozen=True)
 class CircleSymbol:
@@ -55,6 +58,7 @@ class CircleSymbol:
     fn: Optional[Callable] = None
 
     def __post_init__(self):
+        beta_value(self.beta, BetaContext.FINITE)
         if self.kind in _REGULARIZED_CIRCLE and not 0.0 <= self.r < 1.0:
             raise DomainError(f"regularized symbol needs 0 <= r < 1, got r={self.r}")
         if self.kind is CircleKind.CUSTOM and self.fn is None:
@@ -74,10 +78,8 @@ class LineSymbol:
         if self.kind in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
             if not 0.0 < self.eps <= 1.0:
                 raise DomainError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.kind is LineKind.PHI:
-            b = complex(self.beta)
-            if not -1.5 < b.real < 0.5:
-                raise DomainError(f"sech symbol needs -3/2 < Re beta < 1/2, got {b}")
+        beta_value(self.beta, BetaContext.SECH if self.kind is LineKind.PHI
+                   else BetaContext.FINITE)
         if self.kind is LineKind.CUSTOM and self.fn is None:
             raise DomainError("custom line symbol needs fn(x)")
 
@@ -145,9 +147,7 @@ def fourier_coeff_v(beta, k: int) -> complex:
     from the Cauchy product of the binomial series of (1-t)^b (1-1/t)^b and
     validated against the quadrature oracle.
     """
-    b = complex(beta)
-    if b.real <= -0.5:
-        raise DomainError(f"coefficients of v need Re beta > -1/2, got {b}")
+    b = beta_value(beta, BetaContext.MATRIX)
     for arg in (1 + b + k, 1 + b - k):
         if is_near_nonpositive_integer(arg):
             return 0.0  # reciprocal Gamma kills the term
@@ -161,7 +161,7 @@ def fourier_coeff_u(beta, k: int) -> complex:
     sin(pi b)/(pi (b-k)) for non-integer b; the monomial limit (-1)^b
     delta_{k,b} when b is an integer.
     """
-    b = complex(beta)
+    b = beta_value(beta, BetaContext.FINITE)
     if abs(b.imag) < 1e-14 and abs(b.real - round(b.real)) < 1e-14:
         m = round(b.real)
         return complex((-1.0) ** (m % 2) if k == m else 0.0)
@@ -175,7 +175,8 @@ def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
     analytic on r < |t| < 1/r, so the coefficients decay like r^|k| and
     the aliasing error of coefficient k is of the size of c_{k +- M}; M
     leaves a margin of (40 + 4|b|)/(-ln r) beyond 2 kmax + 1, where that
-    decay has fallen below e^{-40}.
+    decay has fallen below e^{-40}.  M is capped at _MAX_SAMPLES: an r
+    nearer 1 raises DomainError before any sampling.
     """
     if s.kind not in _REGULARIZED_CIRCLE:
         raise DomainError("coefficient table only for regularized kinds")
@@ -185,6 +186,8 @@ def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
         return out
     tail = int(np.ceil((40.0 + 4 * abs(complex(s.beta))) / -np.log(s.r)))
     M = scipy.fft.next_fast_len(2 * kmax + 1 + tail)
+    if M > _MAX_SAMPLES:
+        raise DomainError(f"coefficient table needs {M} > {_MAX_SAMPLES} samples at r={s.r}")
     c = scipy.fft.fft(eval_circle(s, 2.0 * np.pi / M * np.arange(M))) / M
     return np.concatenate([c[M - kmax:], c[: kmax + 1]])
 
@@ -262,26 +265,30 @@ class CutKernel:
         return out
 
 
-def _cut_eta_rule(eps: float, nodes: int, levels_lo: int, levels_hi: int) -> QuadRule:
-    return gauss_rule(nodes, (eps, 1.0), grading=("geometric", levels_lo, levels_hi))
+def cut_eta_rule(eps: float) -> QuadRule:
+    """The eta rule on [eps, 1] of every branch-cut representation."""
+    levels = max(40, int(np.ceil(-np.log2(max(eps, 1e-14)))) + 28)
+    return gauss_rule(12, (eps, 1.0), grading=("geometric", levels, 24))
 
 
-def cut_kernel(s: LineSymbol, nodes: int = 12, levels: Optional[int] = None) -> CutKernel:
+def cut_kernel(s: LineSymbol) -> CutKernel:
     """Build the branch-cut representation of the kernel of a line symbol.
 
     The algebraic weight on the cut follows from the jump of the symbol
     across [i eps, i]; endpoint behavior (eta - eps)^{+-beta}, (1-eta)^{-+beta}
-    is resolved by geometrically graded panels.
+    is resolved by geometrically graded panels.  The weights are integrable
+    on the strip -1 < Re beta < 1 only, and near its edges the fixed 24
+    levels toward eta = 1 under-resolve (1-eta)^{-beta}: for VHAT_EPS at
+    eps = 0.1, x = 0.5 the relative error against the Fourier integral is
+    3.1e-6 at beta = 0.45, 1.2e-3 at 0.7, 1.2e-2 at 0.8 and 4e-2 at -0.9.
     """
-    b = complex(s.beta)
     if s.kind is LineKind.PHI:
         raise DomainError("sech symbol kernel is closed-form; use kernel_line")
     if s.kind not in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
         raise DomainError(f"no integrable kernel for symbol kind {s.kind}")
+    b = beta_value(s.beta, BetaContext.KERNEL_FAMILY)
     eps = s.eps
-    if levels is None:
-        levels = max(40, int(np.ceil(-np.log2(max(eps, 1e-14)))) + 28)
-    rule = _cut_eta_rule(eps, nodes, levels, 24)
+    rule = cut_eta_rule(eps)
     eta = rule.nodes
     wq = rule.weights
     if s.kind is LineKind.VHAT_EPS:
@@ -295,7 +302,7 @@ def cut_kernel(s: LineSymbol, nodes: int = 12, levels: Optional[int] = None) -> 
     return CutKernel(eta, w_pos, w_neg)
 
 
-def kernel_line(s: LineSymbol, x, nodes: int = 12):
+def kernel_line(s: LineSymbol, x):
     """Kernel value k(x) of a line symbol (scalar or array x).
 
     PHI uses the closed form -(sin pi b)/(2 pi) sech(x/2); the regularized
@@ -310,6 +317,6 @@ def kernel_line(s: LineSymbol, x, nodes: int = 12):
         return val if np.ndim(x) else complex(val)
     if s.kind in (LineKind.VHAT, LineKind.UHAT):
         raise DomainError(f"symbol kind {s.kind} has no integrable kernel (s-1 not L^1)")
-    ker = cut_kernel(s, nodes=nodes)
+    ker = cut_kernel(s)
     val = ker(np.atleast_1d(np.asarray(x, dtype=float)))
     return val if np.ndim(x) else complex(val[0])

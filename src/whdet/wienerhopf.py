@@ -18,10 +18,10 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
 from .logdet import LogDet, logdet
-from .params import check_sign
+from .params import BetaContext, beta_value, check_sign
 from .quadrature import QuadRule, gauss_rule
 from .specfun import ln_barnes_g
-from .symbols import CutKernel, LineKind, LineSymbol, cut_kernel, eval_line
+from .symbols import CutKernel, LineKind, LineSymbol, cut_eta_rule, cut_kernel, eval_line
 
 _SUPPORTED = (LineKind.VHAT_EPS, LineKind.PHI, LineKind.UHAT_EPS)
 #: beyond this truncation the e^{+eta x} factor of the cut assembly overflows
@@ -133,9 +133,7 @@ def ln_akhiezer_kac_E(beta) -> complex:
     """log of the R-independent constant for the sech symbol:
     G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2) /
     [G(1/2) G(3/2) G(3/2+b) G(1/2-b)]."""
-    b = complex(beta)
-    if not -1.5 < b.real < 0.5:
-        raise DomainError(f"sech constant needs -3/2 < Re beta < 1/2, got {b}")
+    b = beta_value(beta, BetaContext.SECH)
     num = 2.0 * (
         ln_barnes_g(1.5 + b / 2)
         + ln_barnes_g(1.0 + b / 2)
@@ -200,12 +198,11 @@ def factor_product_logdet(beta, eps: float, R: float,
     representation.  The continuous determinant equals G[a]^R with
     ln G[a] = -beta (1 - eps).
     """
-    b = complex(beta)
+    b = beta_value(beta, BetaContext.KERNEL_FAMILY)
     rule = rule or wh_rule(R)
     xs = rule.nodes
     # cut representation of k_+ (supported on w > 0): weights on [eps, 1]
-    levels = max(40, int(np.ceil(-np.log2(max(eps, 1e-14)))) + 28)
-    erule = gauss_rule(12, (eps, 1.0), grading=("geometric", levels, 24))
+    erule = cut_eta_rule(eps)
     eta, wq = erule.nodes, erule.weights
     W = -np.sin(np.pi * b) / np.pi * wq * ((eta - eps) / (1.0 - eta)) ** b
     # ksum(u) = k_+(|u|); composition term C = g2(|x-y|) - A^T G A

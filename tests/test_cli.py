@@ -7,7 +7,8 @@ import warnings
 
 import pytest
 
-from whdet.cli import CSV_HEADER, main, parse_config
+from whdet import LineKind, LineSymbol, TruncatedWH, det_wr_pm_hr, wh_rule
+from whdet.cli import CHECK_HEADER, CSV_HEADER, main, parse_config
 from whdet.errors import ConvergenceWarning, SingularMatrix
 
 
@@ -41,7 +42,18 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["violations"] == []
-        assert all(row["deviation"] < 1e-10 for row in doc["rows"])
+        assert all(row["measured"] < 1e-10 for row in doc["rows"])
+
+    def test_csv_records_name_each_check(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["--command", "verify", "--beta-re", "0.25", "--n-range", "4:4:1",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert list(rows[0].keys()) == CHECK_HEADER
+        names = [r["check"] for r in rows]
+        assert names[:4] == ["quotient-identity", "d_n+1(0.25+0j,4)",
+                             "d_n-1(0.25+0j,4)", "toeplitz-doubling(0.25+0j,4)"]
+        assert all(float(r["measured"]) <= float(r["tol"]) for r in rows)
 
     def test_nonzero_beta_passes(self):
         assert main(["--command", "verify", "--beta-re", "0.25"]) == 0
@@ -105,6 +117,34 @@ class TestSweeps:
         doc = json.loads(out.read_text())
         assert set(doc["rows"][0].keys()) == set(CSV_HEADER)
         assert doc["config"]["eps"] == 1e-3
+
+
+    def test_continuous_sweep_extrapolates_in_h(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["--command", "sweep-continuous", "--beta-re", "0.3",
+                     "--r-range", "6:10:4", "--out", str(out), "--format", "json"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        sym = LineSymbol(LineKind.VHAT_EPS, beta=0.3, eps=1e-3)
+        want = []
+        for sign in (+1, -1):  # 0.3 lies in both continuous strips
+            for R, p in ((6.0, 16), (10.0, 20)):  # wh_rule's default panels
+                ld_p, ld_2p = (det_wr_pm_hr(TruncatedWH(sym, R, wh_rule(R, panels=q), sign))
+                               for q in (p, 2 * p))
+                want.append(ld_2p.ln_abs + (ld_2p.ln_abs - ld_p.ln_abs) / 3.0)
+        assert len(rows) == len(want)
+        for row, w in zip(rows, want):
+            assert abs(row["value_ln_abs"] - w) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "sweep-discrete", "--beta-re", "nan"],
+        ["--command", "sweep-continuous", "--beta-re", "1.2", "--r-range", "4:8:4"],
+        ["--command", "sech-lab", "--beta-re", "0.5"],
+    ])
+    def test_beta_outside_command_strip_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid config" in captured.err
 
 
 class TestConstants:

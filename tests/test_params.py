@@ -3,8 +3,12 @@
 import pytest
 
 from whdet import (
+    AsymKind,
+    AsymptoteSpec,
     BetaContext,
     BetaParam,
+    CircleKind,
+    CircleSymbol,
     DomainError,
     KernelFamily,
     KernelSpec,
@@ -12,10 +16,15 @@ from whdet import (
     LineSymbol,
     TruncatedWH,
     check_beta,
+    cut_kernel,
     d_n,
     d_n_exact,
     det_tn_exact,
+    det_w2r,
+    det_wr_pm_hr,
     factor_product_logdet,
+    fourier_coeff_u,
+    fourier_coeff_v,
     fredholm_det_hankel_reg,
     fredholm_logdet,
     gauss_rule,
@@ -24,7 +33,10 @@ from whdet import (
     ln_c_beta,
     ln_det_hankel_reg_exact,
     nystrom,
+    reg_coeff_table,
+    structured,
     wh_rule,
+    wienerhopf,
 )
 
 
@@ -118,3 +130,81 @@ SIGN_TAKERS = {
 def test_sign_outside_plus_minus_one_rejected(name, sign):
     with pytest.raises(DomainError, match="sign"):
         SIGN_TAKERS[name](sign)
+
+
+def _small_rule():
+    return wh_rule(2.0, panels=4, nodes=8)
+
+
+def _vhat(b):
+    return LineSymbol(LineKind.VHAT_EPS, beta=b, eps=0.1)
+
+
+MATRIX_EDGES = (-0.5,)
+SECH_EDGES = (-1.5, 0.5)
+PLUS_EDGES = (-0.5, 1.5)
+MINUS_EDGES = (-1.0, 0.5)
+KERNEL_EDGES = (-1.0, 1.0)
+FINITE_EDGES = (float("inf"), complex(0.0, float("-inf")))
+
+# every entry point that reads beta: (call at small sizes, the edges of its
+# open strip, a beta inside it)
+STRIP_TABLE = {
+    "fourier_coeff_v": (lambda b: fourier_coeff_v(b, 3), MATRIX_EDGES, 0.3),
+    "d_n": (lambda b: d_n(b, 4, +1), MATRIX_EDGES, 0.3),
+    "AsymptoteSpec(W2R_CONT)":
+        (lambda b: AsymptoteSpec(AsymKind.W2R_CONT, b), MATRIX_EDGES, 0.3),
+    "AsymptoteSpec(T2N_DISCRETE)":
+        (lambda b: AsymptoteSpec(AsymKind.T2N_DISCRETE, b), MATRIX_EDGES, 0.3),
+    "LineSymbol(PHI)": (lambda b: LineSymbol(LineKind.PHI, beta=b), SECH_EDGES, -1.2),
+    "ln_akhiezer_kac_E": (ln_akhiezer_kac_E, SECH_EDGES, -1.2),
+    "AsymptoteSpec(SECH)": (lambda b: AsymptoteSpec(AsymKind.SECH, b), SECH_EDGES, -1.2),
+    "hankel_section_inverse_det(-1)":
+        (lambda b: hankel_section_inverse_det(b, 2, -1, N=16), SECH_EDGES, -0.3),
+    "hankel_section_inverse_det(+1)":
+        (lambda b: hankel_section_inverse_det(b, 2, +1, N=16), PLUS_EDGES, 0.3),
+    "AsymptoteSpec(CONTINUOUS_PLUS)":
+        (lambda b: AsymptoteSpec(AsymKind.CONTINUOUS_PLUS, b), PLUS_EDGES, 1.2),
+    "ln_c_beta": (ln_c_beta, MINUS_EDGES, -0.9),
+    "AsymptoteSpec(CBETA)": (lambda b: AsymptoteSpec(AsymKind.CBETA, b), MINUS_EDGES, -0.9),
+    "AsymptoteSpec(CONTINUOUS_MINUS)":
+        (lambda b: AsymptoteSpec(AsymKind.CONTINUOUS_MINUS, b), MINUS_EDGES, -0.9),
+    "AsymptoteSpec(DISCRETE_PLUS)":
+        (lambda b: AsymptoteSpec(AsymKind.DISCRETE_PLUS, b), (-0.5, -1.5), -1.2),
+    "AsymptoteSpec(DISCRETE_MINUS)":
+        (lambda b: AsymptoteSpec(AsymKind.DISCRETE_MINUS, b), (-1.5, -2.5), -0.5),
+    "cut_kernel": (lambda b: cut_kernel(_vhat(b)), KERNEL_EDGES, 0.9),
+    "det_wr_pm_hr": (lambda b: det_wr_pm_hr(TruncatedWH(_vhat(b), 2.0, _small_rule(), +1)),
+                     KERNEL_EDGES, 0.3),
+    "det_w2r": (lambda b: det_w2r(_vhat(b), 2.0, _small_rule()), KERNEL_EDGES, 0.3),
+    "factor_product_logdet":
+        (lambda b: factor_product_logdet(b, 0.1, 2.0, rule=_small_rule()), KERNEL_EDGES, -0.9),
+    "CircleSymbol": (lambda b: CircleSymbol(CircleKind.VBETA, beta=b), FINITE_EDGES, 2.7),
+    "LineSymbol(UHAT_EPS)": (lambda b: LineSymbol(LineKind.UHAT_EPS, beta=b, eps=0.1),
+                             FINITE_EDGES, 2.7),
+    "fourier_coeff_u": (lambda b: fourier_coeff_u(b, 2), FINITE_EDGES, 2.7),
+    "det_tn_exact": (lambda b: det_tn_exact(b, 4), FINITE_EDGES, 2.7),
+    "ln_det_hankel_reg_exact":
+        (lambda b: ln_det_hankel_reg_exact(b, 0.5, -1), FINITE_EDGES, 2.7),
+    "fredholm_det_hankel_reg":
+        (lambda b: fredholm_det_hankel_reg(b, 0.5, +1), FINITE_EDGES, 0.3),
+    "reg_coeff_table": (lambda b: reg_coeff_table(
+        CircleSymbol(CircleKind.VBETA_R, beta=b, r=0.5), 4), FINITE_EDGES, 2.7),
+}
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("assembly or factorization reached with a rejected beta")
+
+
+@pytest.mark.parametrize("name", sorted(STRIP_TABLE))
+def test_strip_table(name, monkeypatch):
+    call, edges, inside = STRIP_TABLE[name]
+    call(inside)
+    call(BetaParam(inside, BetaContext.FINITE))
+    monkeypatch.setattr(wienerhopf, "_cut_blocks", _unreachable)
+    monkeypatch.setattr(wienerhopf, "logdet", _unreachable)
+    monkeypatch.setattr(structured, "logdet", _unreachable)
+    for bad in (float("nan"), complex(0.3, float("nan")), *edges):
+        with pytest.raises(DomainError):
+            call(bad)

@@ -167,6 +167,12 @@ class TestRegularizedCoefficients:
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 5e-6
 
+    def test_sample_count_capped(self):
+        # M ~ 41/(1-r) = 4.1e8 samples here, 6.6 GB per complex array
+        s = CircleSymbol(CircleKind.UBETA_R, beta=0.35, r=1 - 1e-7)
+        with pytest.raises(DomainError, match="samples"):
+            reg_coeff_table(s, 3)
+
     def test_against_quadrature(self):
         s = CircleSymbol(CircleKind.UBETA_R, beta=0.3 + 0.1j, r=0.7)
         for k in (-3, 0, 2):
