@@ -41,6 +41,9 @@ CSV_HEADER = [
     "deviation",
 ]
 
+#: sweep-continuous rows also carry the h -> h/2 change behind each value
+CONTINUOUS_HEADER = CSV_HEADER + ["refinement"]
+
 CHECK_HEADER = ["check", "measured", "tol"]
 
 CONSTANTS_HEADER = [
@@ -226,16 +229,20 @@ def run_verify(cfg: RunConfig):
     return records, [c for c in records if not c["measured"] <= c["tol"]]
 
 
-def _wh_logdet(cfg: RunConfig, b: complex, sign: int, R: float) -> LogDet:
+def _wh_logdet(cfg: RunConfig, b: complex, sign: int, R: float):
     """det(W_R +- H_R) at panels p and 2p (p from --panels or wh_rule's
-    default) with one Richardson step in h: the O(h^2) error of the
-    diagonal kink is as large as the asymptotic deviation itself."""
+    default) with one Richardson step in h, and the size of the p -> 2p
+    change: the O(h^2) error of the diagonal kink is as large as the
+    asymptotic deviation itself.  The change is taken modulo 2 pi in its
+    argument, which a LogDet accumulates rather than reduces."""
     sym = symbols.LineSymbol(symbols.LineKind.VHAT_EPS, beta=b, eps=cfg.eps)
     coarse = wienerhopf.wh_rule(R, panels=cfg.panels, nodes=cfg.nodes)
     fine = wienerhopf.wh_rule(R, panels=2 * coarse.grading[1], nodes=cfg.nodes)
     ld_p, ld_2p = (wienerhopf.det_wr_pm_hr(wienerhopf.TruncatedWH(sym, R, rule, sign))
                    for rule in (coarse, fine))
-    return LogDet.from_log(ld_2p.log + (ld_2p.log - ld_p.log) / 3.0)
+    change = ld_2p - ld_p
+    change = complex(change.ln_abs, math.remainder(change.arg, 2.0 * math.pi))
+    return LogDet.from_log(ld_2p.log + change / 3.0), abs(change)
 
 
 def _sweep_rows(cfg: RunConfig):
@@ -254,8 +261,12 @@ def _sweep_rows(cfg: RunConfig):
             except DomainError:
                 continue  # beta outside this sign's strip
             for s in scales:
-                ld = _wh_logdet(cfg, b, sign, s) if continuous else structured.d_n(b, s, sign)
-                rows.append(_row(float(s), ld, asymptote_log(spec, float(s))))
+                asym = asymptote_log(spec, float(s))
+                if continuous:
+                    ld, refinement = _wh_logdet(cfg, b, sign, s)
+                    rows.append({**_row(float(s), ld, asym), "refinement": refinement})
+                else:
+                    rows.append(_row(float(s), structured.d_n(b, s, sign), asym))
     return rows, []
 
 
@@ -299,8 +310,8 @@ def run_constants(cfg: RunConfig):
 
 
 def write_output(cfg: RunConfig, rows: list, violations: list):
-    header = {"constants": CONSTANTS_HEADER, "verify": CHECK_HEADER}.get(
-        cfg.command, CSV_HEADER)
+    header = {"constants": CONSTANTS_HEADER, "verify": CHECK_HEADER,
+              "sweep-continuous": CONTINUOUS_HEADER}.get(cfg.command, CSV_HEADER)
     cells = [{h: row[h] if isinstance(row[h], str) else f"{row[h]:.17g}" for h in header}
              for row in rows]
     if cfg.out is None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .logdet import LogDet, logdet
-from .params import BetaContext, beta_value, check_sign
+from .params import BetaContext, beta_value, check_sign, working_beta
 from .quadrature import QuadRule, gauss_rule
 from .structured import ln_det_hankel_reg_exact
 
@@ -62,10 +62,10 @@ class KernelSpec:
 
 def kernel_eval(spec: KernelSpec, x, y):
     """Kernel value(s) at interior points; principal powers of the
-    positive algebraic factors."""
+    positive algebraic factors, so real values for a real beta."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    b = complex(spec.beta)
+    b = working_beta(complex(spec.beta))
     lo, hi = spec.interval
     if np.any(x + y <= 0):
         raise DomainError("kernel needs x + y > 0")

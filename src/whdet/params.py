@@ -20,7 +20,8 @@ FINITE            any finite b        CircleSymbol, the other LineSymbol kinds,
                                       fourier_coeff_u, det_tn_exact,
                                       ln_det_hankel_reg_exact, fredholm_det_hankel_reg
 
-``BetaParam`` ties a value to the strip it was validated against.
+``BetaParam`` ties a value to the strip it was validated against, and
+``working_beta`` picks the arithmetic of every dense route from it.
 """
 
 from __future__ import annotations
@@ -109,6 +110,18 @@ class BetaParam:
 def beta_value(beta, context: BetaContext) -> complex:
     """Accept a BetaParam or a plain number; validate against context."""
     return check_beta(beta.value if isinstance(beta, BetaParam) else beta, context)
+
+
+def working_beta(b: complex) -> float | complex:
+    """beta as the scalar a dense route computes with: a float when Im b == 0.
+
+    This is the one place that picks real or complex arithmetic.  A real
+    beta gives real kernels and coefficients, so real matrices and a real
+    LU (about a quarter of the flops of a complex one); any other beta,
+    however small its imaginary part, stays complex.
+    """
+    b = complex(b)
+    return b.real if b.imag == 0.0 else b
 
 
 def check_sign(sign) -> None:

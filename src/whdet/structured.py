@@ -14,18 +14,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConvergenceWarning, DomainError
 from .logdet import LogDet, logdet
 from .params import BetaContext, beta_value, check_sign
 from .specfun import ln_barnes_g
-from .symbols import (
-    CircleKind,
-    CircleSymbol,
-    fourier_coeff_u,
-    fourier_coeff_v,
-    reg_coeff_table,
-)
+from .symbols import CircleKind, CircleSymbol, reg_coeff_table, u_coeff_array, v_coeff_array
 
 LN_2PI = math.log(2.0 * math.pi)
 LN_2 = math.log(2.0)
@@ -49,22 +44,23 @@ def hankel(coeffs, n: int) -> np.ndarray:
     return c[j + k]
 
 
-def _v_coeff_array(beta: complex, n: int) -> np.ndarray:
-    return np.array([fourier_coeff_v(beta, k) for k in range(-(2 * n - 1), 2 * n)])
+def _v_coeff_array(b: complex, n: int) -> np.ndarray:
+    """The coefficients k = -(2n-1) .. 2n-1 of v_b for a validated beta."""
+    return v_coeff_array(b, np.arange(-(2 * n - 1), 2 * n))
 
 
 def d_n(beta, n: int, sign: int) -> LogDet:
-    """log det[T_n(v_beta) +- H_n(v_beta)] by dense LU (matrix route)."""
+    """log det[T_n(v_beta) +- H_n(v_beta)] by dense LU (matrix route);
+    real coefficients and a real LU for a real beta."""
     b = beta_value(beta, BetaContext.MATRIX)
     check_sign(sign)
     if n < 1:
         raise DomainError("n must be positive")
     c = _v_coeff_array(b, n)
-    off = 2 * n - 1
-    j, k = np.indices((n, n))
-    T = c[(j - k) + off]
-    H = c[(j + k + 1) + off]
-    return logdet(T + sign * H)
+    off = 2 * n - 1  # c[off + k] is the coefficient k
+    A = scipy.linalg.toeplitz(c[off:off + n], c[off::-1][:n])       # c_{j-k}
+    A += sign * scipy.linalg.hankel(c[off + 1:off + n + 1], c[off + n:])  # c_{j+k+1}
+    return logdet(A)
 
 
 def d_n_exact(beta, n: int, sign: int) -> LogDet:
@@ -150,9 +146,8 @@ def hankel_section_inverse_det(
         raise DomainError("truncation N must be at least 4n")
 
     def block_logdet(m: int) -> LogDet:
-        co = np.array([fourier_coeff_u(-b, k) for k in range(1, 2 * m)])
-        j, k = np.indices((m, m))
-        A = np.eye(m, dtype=co.dtype) + sign * co[j + k]
+        co = u_coeff_array(-b, np.arange(1, 2 * m))  # k = 1 .. 2m-1
+        A = np.eye(m, dtype=co.dtype) + sign * scipy.linalg.hankel(co[:m], co[m - 1:])
         X = np.linalg.solve(A, np.eye(m, dtype=co.dtype)[:, :n])
         return logdet(X[:n, :])
 
@@ -196,6 +191,5 @@ def fredholm_det_hankel_reg(beta, r: float, sign: int, N: int | None = None) -> 
         N = max(64, int(np.ceil(20.0 / max(-math.log(r), 1e-12))))
     sym = CircleSymbol(CircleKind.UBETA_R, beta=b, r=r)
     co = reg_coeff_table(sym, 2 * N)[2 * N :]  # k = 0 .. 2N
-    j, k = np.indices((N, N))
-    H = co[j + k + 1]
+    H = scipy.linalg.hankel(co[1:N + 1], co[N:2 * N])  # c_{j+k+1}
     return logdet(np.eye(N, dtype=H.dtype) + sign * H)

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.special import loggamma
 
 from .errors import DomainError, QuadFailure, SingularPointError
-from .params import BetaContext, beta_value, is_near_nonpositive_integer
+from .params import BetaContext, beta_value, is_near_nonpositive_integer, working_beta
 from .quadrature import QuadRule, gauss_rule
 
 
@@ -148,11 +148,26 @@ def fourier_coeff_v(beta, k: int) -> complex:
     validated against the quadrature oracle.
     """
     b = beta_value(beta, BetaContext.MATRIX)
-    for arg in (1 + b + k, 1 + b - k):
-        if is_near_nonpositive_integer(arg):
-            return 0.0  # reciprocal Gamma kills the term
-    ln = loggamma(1 + 2 * b) - loggamma(1 + b + k) - loggamma(1 + b - k)
-    return (-1) ** (k % 2) * complex(np.exp(ln))
+    return complex(v_coeff_array(b, np.array([k]))[0])
+
+
+def v_coeff_array(b: complex, k) -> np.ndarray:
+    """fourier_coeff_v at every integer of the array k, for a validated beta.
+
+    One complex loggamma over k (real loggamma is NaN at the negative
+    arguments 1+b-k); the result is real when working_beta(b) is.  At an
+    integer beta the reciprocal Gamma vanishes for |k| > b.
+    """
+    b = complex(b)
+    k = np.asarray(k)
+    live = np.ones(k.shape, dtype=bool)
+    if is_near_nonpositive_integer(-b):
+        live = np.abs(k) <= round(b.real)
+    kl = k[live]
+    ln = loggamma(1 + 2 * b) - loggamma(1 + b + kl) - loggamma(1 + b - kl)
+    c = np.zeros(k.shape, dtype=complex)
+    c[live] = np.where(kl % 2, -1.0, 1.0) * np.exp(ln)
+    return c.real if isinstance(working_beta(b), float) else c
 
 
 def fourier_coeff_u(beta, k: int) -> complex:
@@ -162,10 +177,21 @@ def fourier_coeff_u(beta, k: int) -> complex:
     delta_{k,b} when b is an integer.
     """
     b = beta_value(beta, BetaContext.FINITE)
+    return complex(u_coeff_array(b, np.array([k]))[0])
+
+
+def u_coeff_array(b: complex, k) -> np.ndarray:
+    """fourier_coeff_u at every integer of the array k, for a validated
+    beta; real when working_beta(b) is."""
+    b = complex(b)
+    k = np.asarray(k)
+    bw = working_beta(b)
     if abs(b.imag) < 1e-14 and abs(b.real - round(b.real)) < 1e-14:
         m = round(b.real)
-        return complex((-1.0) ** (m % 2) if k == m else 0.0)
-    return complex(np.sin(np.pi * b) / (np.pi * (b - k)))
+        out = np.zeros(k.shape, dtype=np.result_type(bw))
+        out[k == m] = (-1.0) ** (m % 2)
+        return out
+    return np.sin(np.pi * bw) / (np.pi * (bw - k))
 
 
 def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
@@ -176,12 +202,14 @@ def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
     the aliasing error of coefficient k is of the size of c_{k +- M}; M
     leaves a margin of (40 + 4|b|)/(-ln r) beyond 2 kmax + 1, where that
     decay has fallen below e^{-40}.  M is capped at _MAX_SAMPLES: an r
-    nearer 1 raises DomainError before any sampling.
+    nearer 1 raises DomainError before any sampling.  For a real beta both
+    kinds satisfy f(-theta) = conj f(theta), so the table is real.
     """
     if s.kind not in _REGULARIZED_CIRCLE:
         raise DomainError("coefficient table only for regularized kinds")
+    real = isinstance(working_beta(complex(s.beta)), float)
     if s.r == 0.0:
-        out = np.zeros(2 * kmax + 1, dtype=complex)
+        out = np.zeros(2 * kmax + 1, dtype=float if real else complex)
         out[kmax] = 1.0
         return out
     tail = int(np.ceil((40.0 + 4 * abs(complex(s.beta))) / -np.log(s.r)))
@@ -189,6 +217,8 @@ def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
     if M > _MAX_SAMPLES:
         raise DomainError(f"coefficient table needs {M} > {_MAX_SAMPLES} samples at r={s.r}")
     c = scipy.fft.fft(eval_circle(s, 2.0 * np.pi / M * np.arange(M))) / M
+    if real:
+        c = c.real
     return np.concatenate([c[M - kmax:], c[: kmax + 1]])
 
 
@@ -281,12 +311,13 @@ def cut_kernel(s: LineSymbol) -> CutKernel:
     levels toward eta = 1 under-resolve (1-eta)^{-beta}: for VHAT_EPS at
     eps = 0.1, x = 0.5 the relative error against the Fourier integral is
     3.1e-6 at beta = 0.45, 1.2e-3 at 0.7, 1.2e-2 at 0.8 and 4e-2 at -0.9.
+    Every base of a power is positive, so a real beta gives real weights.
     """
     if s.kind is LineKind.PHI:
         raise DomainError("sech symbol kernel is closed-form; use kernel_line")
     if s.kind not in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
         raise DomainError(f"no integrable kernel for symbol kind {s.kind}")
-    b = beta_value(s.beta, BetaContext.KERNEL_FAMILY)
+    b = working_beta(beta_value(s.beta, BetaContext.KERNEL_FAMILY))
     eps = s.eps
     rule = cut_eta_rule(eps)
     eta = rule.nodes
@@ -306,17 +337,17 @@ def kernel_line(s: LineSymbol, x):
     """Kernel value k(x) of a line symbol (scalar or array x).
 
     PHI uses the closed form -(sin pi b)/(2 pi) sech(x/2); the regularized
-    kinds integrate over the branch cut.
+    kinds integrate over the branch cut.  The values are real for a real
+    beta, complex otherwise.
     """
-    b = complex(s.beta)
+    b = working_beta(complex(s.beta))
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
     if b == 0:
-        return np.zeros_like(np.asarray(x, dtype=float), dtype=complex) if np.ndim(x) else 0.0
-    if s.kind is LineKind.PHI:
-        xv = np.asarray(x, dtype=float)
+        val = np.zeros(xv.shape)
+    elif s.kind is LineKind.PHI:
         val = -np.sin(np.pi * b) / (2 * np.pi) / np.cosh(xv / 2.0)
-        return val if np.ndim(x) else complex(val)
-    if s.kind in (LineKind.VHAT, LineKind.UHAT):
+    elif s.kind in (LineKind.VHAT, LineKind.UHAT):
         raise DomainError(f"symbol kind {s.kind} has no integrable kernel (s-1 not L^1)")
-    ker = cut_kernel(s)
-    val = ker(np.atleast_1d(np.asarray(x, dtype=float)))
-    return val if np.ndim(x) else complex(val[0])
+    else:
+        val = cut_kernel(s)(xv)
+    return val if np.ndim(x) else val[0].item()

@@ -18,7 +18,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
 from .logdet import LogDet, logdet
-from .params import BetaContext, beta_value, check_sign
+from .params import BetaContext, beta_value, check_sign, working_beta
 from .quadrature import QuadRule, gauss_rule
 from .specfun import ln_barnes_g
 from .symbols import CutKernel, LineKind, LineSymbol, cut_eta_rule, cut_kernel, eval_line
@@ -73,14 +73,18 @@ class TruncatedWH:
         check_sign(self.sign)
 
 
-def _sech_blocks(beta: complex, xs: np.ndarray):
+def _sech_blocks(beta, xs: np.ndarray, sign: int) -> np.ndarray:
+    """k(x_i - x_j) + sign k(x_i + x_j) for the sech kernel."""
     pref = -np.sin(np.pi * beta) / (2.0 * np.pi)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    return pref / np.cosh((X - Y) / 2.0), pref / np.cosh((X + Y) / 2.0)
+    K = pref / np.cosh(np.subtract.outer(xs, xs) / 2.0)
+    if sign:
+        K += sign * pref / np.cosh(np.add.outer(xs, xs) / 2.0)
+    return K
 
 
-def _cut_blocks(ker: CutKernel, xs: np.ndarray):
-    """W-block k(x_i-x_j) and H-block k(x_i+x_j) from a cut representation."""
+def _cut_blocks(ker: CutKernel, xs: np.ndarray, sign: int) -> np.ndarray:
+    """W-block k(x_i-x_j) plus sign times the H-block k(x_i+x_j), from a
+    cut representation; sign 0 assembles the W-block alone."""
     if xs[-1] > _FAST_PATH_MAX_R:
         raise DomainError(
             f"cut kernel assembly needs nodes in [0, {_FAST_PATH_MAX_R:g}], "
@@ -90,20 +94,31 @@ def _cut_blocks(ker: CutKernel, xs: np.ndarray):
     e_up = np.exp(np.outer(xs, eta))            # e^{+eta x_j}
     lower = e_dn @ (e_up * ker.w_pos).T         # valid on i >= j
     if ker.w_pos is ker.w_neg or np.array_equal(ker.w_pos, ker.w_neg):
-        KW = np.tril(lower) + np.tril(lower, -1).T
+        K = np.tril(lower)
+        K += np.tril(lower, -1).T
     else:
         upper = e_dn @ (e_up * ker.w_neg).T     # k(neg) at |x_i-x_j|, use on i < j
-        diag = 0.5 * (np.sum(ker.w_pos) + np.sum(ker.w_neg))
-        KW = np.tril(lower, -1) + np.triu(upper.T, 1) + np.diag(np.full(len(xs), diag))
-    KH = e_dn @ (e_dn * ker.w_pos).T
-    return KW, KH
+        K = np.tril(lower, -1)
+        K += np.triu(upper.T, 1)
+        K[np.diag_indices_from(K)] = 0.5 * (np.sum(ker.w_pos) + np.sum(ker.w_neg))
+    if sign:
+        K += e_dn @ (e_dn * (sign * ker.w_pos)).T
+    return K
 
 
-def _blocks(symbol: LineSymbol, xs: np.ndarray):
-    b = complex(symbol.beta)
+def _system(symbol: LineSymbol, rule: QuadRule, sign: int) -> np.ndarray:
+    """I + sqrt(w_i) [k(x_i - x_j) + sign k(x_i + x_j)] sqrt(w_j); sign 0
+    leaves the H-block out.  Real for a real beta (see working_beta)."""
+    xs = rule.nodes
     if symbol.kind is LineKind.PHI:
-        return _sech_blocks(b, xs)
-    return _cut_blocks(cut_kernel(symbol), xs)
+        K = _sech_blocks(working_beta(complex(symbol.beta)), xs, sign)
+    else:
+        K = _cut_blocks(cut_kernel(symbol), xs, sign)
+    sw = np.sqrt(rule.weights)
+    K *= sw[:, None]
+    K *= sw[None, :]
+    K[np.diag_indices_from(K)] += 1.0
+    return K
 
 
 def det_wr_pm_hr(t: TruncatedWH) -> LogDet:
@@ -111,22 +126,14 @@ def det_wr_pm_hr(t: TruncatedWH) -> LogDet:
     rule = t.rule or wh_rule(t.R)
     if abs(rule.interval[1] - t.R) > 1e-12 or rule.interval[0] != 0.0:
         raise DomainError(f"rule interval {rule.interval} does not match [0, {t.R}]")
-    KW, KH = _blocks(t.symbol, rule.nodes)
-    sw = np.sqrt(rule.weights)
-    K = KW + t.sign * KH
-    m = sw[:, None] * K * sw[None, :]
-    return logdet(np.eye(len(sw), dtype=m.dtype) + m)
+    return logdet(_system(t.symbol, rule, t.sign))
 
 
 def det_w2r(symbol: LineSymbol, R2: float, rule: Optional[QuadRule] = None) -> LogDet:
     """log det W_{R2}(a) = log det of I + k(x_i - x_j) on [0, R2]."""
     if symbol.kind not in _SUPPORTED:
         raise DomainError(f"symbol kind {symbol.kind} not supported for truncation")
-    rule = rule or wh_rule(R2)
-    KW, _ = _blocks(symbol, rule.nodes)
-    sw = np.sqrt(rule.weights)
-    m = sw[:, None] * KW * sw[None, :]
-    return logdet(np.eye(len(sw), dtype=m.dtype) + m)
+    return logdet(_system(symbol, rule or wh_rule(R2), 0))
 
 
 def ln_akhiezer_kac_E(beta) -> complex:
@@ -198,7 +205,7 @@ def factor_product_logdet(beta, eps: float, R: float,
     representation.  The continuous determinant equals G[a]^R with
     ln G[a] = -beta (1 - eps).
     """
-    b = beta_value(beta, BetaContext.KERNEL_FAMILY)
+    b = working_beta(beta_value(beta, BetaContext.KERNEL_FAMILY))
     rule = rule or wh_rule(R)
     xs = rule.nodes
     # cut representation of k_+ (supported on w > 0): weights on [eps, 1]

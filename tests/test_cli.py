@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from whdet import LineKind, LineSymbol, TruncatedWH, det_wr_pm_hr, wh_rule
-from whdet.cli import CHECK_HEADER, CSV_HEADER, main, parse_config
+from whdet.cli import CHECK_HEADER, CONTINUOUS_HEADER, CSV_HEADER, main, parse_config
 from whdet.errors import ConvergenceWarning, SingularMatrix
 
 
@@ -115,9 +115,8 @@ class TestSweeps:
                    "--out", str(out), "--format", "json"])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert set(doc["rows"][0].keys()) == set(CSV_HEADER)
+        assert set(doc["rows"][0].keys()) == set(CONTINUOUS_HEADER)
         assert doc["config"]["eps"] == 1e-3
-
 
     def test_continuous_sweep_extrapolates_in_h(self, tmp_path):
         out = tmp_path / "c.json"
@@ -130,10 +129,22 @@ class TestSweeps:
             for R, p in ((6.0, 16), (10.0, 20)):  # wh_rule's default panels
                 ld_p, ld_2p = (det_wr_pm_hr(TruncatedWH(sym, R, wh_rule(R, panels=q), sign))
                                for q in (p, 2 * p))
-                want.append(ld_2p.ln_abs + (ld_2p.ln_abs - ld_p.ln_abs) / 3.0)
+                change = ld_2p.ln_abs - ld_p.ln_abs
+                want.append((ld_2p.ln_abs + change / 3.0, abs(change)))
         assert len(rows) == len(want)
-        for row, w in zip(rows, want):
-            assert abs(row["value_ln_abs"] - w) <= 1e-12
+        for row, (value, refinement) in zip(rows, want):
+            assert abs(row["value_ln_abs"] - value) <= 1e-12
+            # a real symbol: the change is all in the modulus
+            assert abs(row["refinement"] - refinement) <= 1e-12
+            assert 0.0 < row["refinement"] < 1e-2
+
+    def test_continuous_csv_has_refinement_column(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["--command", "sweep-continuous", "--beta-re", "0.3",
+                     "--r-range", "6:6:1", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert list(rows[0].keys()) == CONTINUOUS_HEADER
+        assert all(float(r["refinement"]) > 0.0 for r in rows)
 
     @pytest.mark.parametrize("argv", [
         ["--command", "sweep-discrete", "--beta-re", "nan"],

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from whdet import (
     ConvergenceWarning,
@@ -25,6 +26,9 @@ from whdet import (
     rel_exp_diff,
     toeplitz,
 )
+from whdet.params import is_near_nonpositive_integer
+from whdet.structured import _v_coeff_array
+from whdet.symbols import u_coeff_array
 
 
 def cofactor_det(a):
@@ -181,6 +185,56 @@ class TestDetTnExact:
         for n in (2, 5, 9):
             t2n = logdet(toeplitz(lambda k: fourier_coeff_v(beta, k), 2 * n))
             assert rel_exp_diff(t2n, d_n(beta, n, +1) + d_n(beta, n, -1)) < 1e-9
+
+
+def scalar_v_coeff(b: complex, k: int) -> complex:
+    """The closed form of fourier_coeff_v evaluated one k at a time."""
+    for arg in (1 + b + k, 1 + b - k):
+        if is_near_nonpositive_integer(arg):
+            return 0.0
+    ln = loggamma(1 + 2 * b) - loggamma(1 + b + k) - loggamma(1 + b - k)
+    return (-1) ** (k % 2) * complex(np.exp(ln))
+
+
+class TestCoefficientArrays:
+    @pytest.mark.parametrize("beta", [0.3, -0.42, 2.7, 0.2 + 0.15j, -0.3 - 0.4j,
+                                      0.0, 1.0, 3.0, 2.0 + 1e-13])
+    def test_v_array_matches_scalar(self, beta):
+        n = 40
+        ks = range(-(2 * n - 1), 2 * n)
+        got = _v_coeff_array(complex(beta), n)
+        assert got.dtype == (np.float64 if complex(beta).imag == 0 else np.complex128)
+        for want in ([fourier_coeff_v(beta, k) for k in ks],
+                     [scalar_v_coeff(complex(beta), k) for k in ks]):
+            want = np.array(want)
+            if complex(beta).imag == 0:
+                # a real beta: the complex form's Im c_k is rounding from the
+                # Gamma reflection (up to 3e-14 relative at |k| ~ 80), dropped
+                want = want.real
+            zero = want == 0
+            assert np.array_equal(got[zero], want[zero])
+            assert np.max(np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])) <= 1e-15
+
+    def test_v_array_integer_beta_is_finite_difference(self):
+        # (2 - 2 cos theta)^2 = 6 - 4(t + 1/t) + (t^2 + 1/t^2)
+        got = _v_coeff_array(2.0, 3)
+        want = np.array([0, 0, 0, 1, -4, 6, -4, 1, 0, 0, 0])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("beta", [0.3, -0.45, 1.3, 0.2 + 0.1j, 0.0, 1.0, -2.0])
+    def test_u_array_matches_scalar(self, beta):
+        ks = np.arange(1, 64)
+        got = u_coeff_array(complex(beta), ks)
+        assert got.dtype == (np.float64 if complex(beta).imag == 0 else np.complex128)
+        want = np.array([fourier_coeff_u(beta, int(k)) for k in ks])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want), initial=1.0)
+        b = complex(beta)
+        if b.real != round(b.real) or b.imag:
+            oracle = np.sin(np.pi * b) / (np.pi * (b - ks))
+            assert np.max(np.abs(got - oracle) / np.abs(oracle)) <= 1e-15
+        else:  # the monomial (-1)^b t^b
+            m = round(b.real)
+            assert np.array_equal(got, np.where(ks == m, (-1.0) ** (m % 2), 0.0))
 
 
 class TestHankelSectionInverse:

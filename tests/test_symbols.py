@@ -317,6 +317,27 @@ class TestKernelLine:
         with pytest.raises(DomainError):
             kernel_line(LineSymbol(LineKind.VHAT, beta=0.3), 1.0)
 
+    def test_real_beta_gives_real_values(self):
+        # beta = 0 included: every real beta gives one dtype, float64
+        xs = np.array([-0.5, 0.5, 2.0])
+        for b in (0.0, 0.3, -0.4):
+            for s in (LineSymbol(LineKind.VHAT_EPS, beta=b, eps=0.1),
+                      LineSymbol(LineKind.UHAT_EPS, beta=b, eps=0.1),
+                      LineSymbol(LineKind.PHI, beta=b)):
+                assert kernel_line(s, xs).dtype == np.float64, (s, b)
+                assert isinstance(kernel_line(s, 0.5), float)
+        s = LineSymbol(LineKind.VHAT_EPS, beta=0.3 + 0.1j, eps=0.1)
+        assert kernel_line(s, xs).dtype == np.complex128
+
+    def test_real_weights_match_complex_weights(self):
+        for s in (LineSymbol(LineKind.VHAT_EPS, beta=0.3, eps=1e-3),
+                  LineSymbol(LineKind.UHAT_EPS, beta=-0.45, eps=0.05)):
+            real = cut_kernel(s)
+            cplx = cut_kernel(LineSymbol(s.kind, beta=complex(s.beta, 1e-200), eps=s.eps))
+            assert real.w_pos.dtype == real.w_neg.dtype == np.float64
+            for w, wc in ((real.w_pos, cplx.w_pos), (real.w_neg, cplx.w_neg)):
+                assert np.max(np.abs(w - wc) / np.abs(wc)) < 1e-14
+
     def test_line_symbol_evenness(self):
         xs = np.linspace(0.1, 5.0, 7)
         for s in (LineSymbol(LineKind.VHAT_EPS, beta=0.3 + 0.1j, eps=0.2),
