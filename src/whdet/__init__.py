@@ -34,6 +34,7 @@ from .fredholm import (
     nystrom,
     quotient_identity,
 )
+from .expsum import ExpSum, expsum_logdet
 from .logdet import LogDet, logdet, rel_exp_diff
 from .params import BetaContext, BetaParam, beta_value, check_beta
 from .quadrature import QuadRule, gauss_rule
@@ -57,10 +58,10 @@ from .structured import (
 from .symbols import (
     CircleKind,
     CircleSymbol,
-    CutKernel,
     LineKind,
     LineSymbol,
     cut_kernel,
+    cut_rule,
     eval_circle,
     eval_line,
     fourier_coeff_numeric,
@@ -69,6 +70,7 @@ from .symbols import (
     fourier_coeff_v,
     kernel_line,
     reg_coeff_table,
+    sech_kernel,
 )
 from .wienerhopf import (
     TruncatedWH,

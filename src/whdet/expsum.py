@@ -1,0 +1,214 @@
+"""Exponential sums and the log-determinants of the matrices they generate.
+
+An exponential sum is a kernel k(u) = sum_q w_q e^{-eta_q |u|}, with one
+weight vector for u > 0 and one for u < 0 (they coincide for an even
+kernel).  Every line kernel of a Wiener-Hopf route is one: the branch-cut
+kernels of ``symbols.cut_kernel`` and the sech kernel.
+
+``compress`` cuts a sum down to the few exponentials its kernel needs
+(Beylkin & Monzon, "On approximation of functions by exponential sums",
+ACHA 19, 2005): a pivoted QR of the samples e^{-eta_q u} picks the
+columns, and the weights are refit by least squares.  The sample grid is
+u = 0 plus log-spaced points up to 40/eta_min, where every term has decayed
+below e^{-40}; it depends on the exponents only, so one compressed sum
+serves every truncation R.
+
+``expsum_logdet`` takes log det(I + S (T_k + U M U^T) S), where
+T_k(i, j) = k(x_i - x_j) on sorted nodes, S = diag(sqrt(quadrature
+weights)) and U M U^T is a low-rank term, in O(N r^2) time and O(N r)
+memory for r exponentials: the block LU of a quasiseparable matrix
+(Gohberg, Kailath & Koltracht, "Linear complexity algorithms for
+semiseparable matrices", IEOT 8, 1985), one panel of PANEL nodes at a
+time.  Every factor it forms is an e^{-eta d} with d >= 0, so no
+truncation length can overflow it.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+from scipy.linalg import lu_solve, qr, solve_triangular
+
+from .logdet import LogDet, lu_logdet
+from .quadrature import QuadRule
+
+#: relative size of the last pivot that compress keeps
+COMPRESS_TOL = 1e-15
+#: sample points per decade of u in compress
+SAMPLES_PER_DECADE = 20
+#: sorted nodes per step of expsum_logdet
+PANEL = 16
+
+
+@dataclass(frozen=True)
+class ExpSum:
+    """k(u) = sum_q w_pos[q] e^{-eta_q u} for u > 0, sum_q w_neg[q] e^{eta_q u}
+    for u < 0, and the mean of the two at u = 0.
+
+    A compressed sum carries ``interp`` (terms x original terms), with
+    e^{-eta'_q u} ~ sum_p interp[p, q] e^{-eta_p u} for every original
+    exponent eta'_q, and ``err``, the sup error of the compression on its
+    sample grid relative to max |k| there.
+    """
+
+    eta: np.ndarray
+    w_pos: np.ndarray
+    w_neg: np.ndarray
+    interp: Optional[np.ndarray] = None
+    err: float = 0.0
+
+    @property
+    def terms(self) -> int:
+        return len(self.eta)
+
+    @property
+    def even(self) -> bool:
+        return self.w_neg is self.w_pos or np.array_equal(self.w_pos, self.w_neg)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        e = np.exp(-np.multiply.outer(np.abs(x), self.eta))
+        pos = e @ self.w_pos
+        if self.even:
+            return pos
+        neg = e @ self.w_neg
+        return np.where(x > 0, pos, np.where(x < 0, neg, 0.5 * (pos + neg)))
+
+    def block(self, x):
+        """The matrix k(x_i - x_j) for increasing x, from the exponentials
+        of its strictly lower triangle alone."""
+        n = len(x)
+        i, j = _lower(n)
+        e = np.exp(-np.multiply.outer(x[i] - x[j], self.eta))
+        out = np.empty((n, n), dtype=np.result_type(self.w_pos, self.w_neg))
+        out[i, j] = e @ self.w_pos
+        out[j, i] = out[i, j] if self.even else e @ self.w_neg
+        out[np.diag_indices(n)] = 0.5 * (np.sum(self.w_pos) + np.sum(self.w_neg))
+        return out
+
+    def compress(self) -> "ExpSum":
+        """The fewest of these exponentials that reproduce the sum to about
+        COMPRESS_TOL relative, with refit weights (see the module docstring).
+
+        The refit weights are interp @ w.  In exact arithmetic that is the
+        least-squares solution R11^{-1} Q1^T E w; formed from the samples
+        E w, it would carry their rounding amplified by R11's smallest
+        pivots, near COMPRESS_TOL."""
+        def fit(u, E, interp, Q1, R11):
+            even = self.even
+            w_pos = _real_apart(interp, self.w_pos)
+            w_neg = w_pos if even else _real_apart(interp, self.w_neg)
+            pos = E @ self.w_pos
+            return w_pos, w_neg, pos, pos if even else E @ self.w_neg
+        return _fit(self.eta, fit)
+
+
+@functools.cache
+def _lower(n):
+    return np.tril_indices(n, -1)
+
+
+def fit_even(eta: np.ndarray, f: Callable) -> ExpSum:
+    """An even exponential sum for f(|u|), from the candidate exponents eta:
+    the least-squares weights of the columns that compress would keep."""
+    def fit(u, E, interp, Q1, R11):
+        target = f(u)
+        w = solve_triangular(R11, Q1.T @ target)
+        return w, w, target, target
+    return _fit(eta, fit)
+
+
+def _real_apart(a, w):
+    """a @ w with the real and imaginary parts of w apart, so that a real
+    w, or the real part of a complex one, takes the same arithmetic."""
+    if np.iscomplexobj(w):
+        return a @ w.real + 1j * (a @ w.imag)
+    return a @ w
+
+
+def _grid(eta: np.ndarray) -> np.ndarray:
+    lo, hi = 1e-2 / np.max(eta), 40.0 / np.min(eta)
+    n = int(math.ceil(SAMPLES_PER_DECADE * math.log10(hi / lo)))
+    return np.concatenate([[0.0], np.geomspace(lo, hi, n)])
+
+
+def _fit(eta, fit) -> ExpSum:
+    """Pivoted QR of E = e^{-u eta} on the sample grid u; ``fit`` gives
+    the weights of the kept columns, and the samples they are measured
+    against, from u, E, the columns' interpolation matrix and Q1, R11."""
+    u = _grid(eta)
+    E = np.exp(-np.multiply.outer(u, eta))
+    Q, R, perm = qr(E, mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(R))
+    r = max(1, int(np.sum(pivots > COMPRESS_TOL * pivots[0])))
+    R11 = R[:r, :r]
+    interp = np.empty((r, len(eta)))
+    interp[:, perm] = np.hstack([np.eye(r), solve_triangular(R11, R[:r, r:])])
+    keep = perm[:r]
+    w_pos, w_neg, pos, neg = fit(u, E, interp, Q[:, :r], R11)
+    E1 = E[:, keep]
+    scale = max(np.max(np.abs(pos)), np.max(np.abs(neg)))
+    err = max(np.max(np.abs(E1 @ w_pos - pos)), np.max(np.abs(E1 @ w_neg - neg)))
+    return ExpSum(eta[keep], w_pos, w_neg, interp, float(err / scale) if scale else 0.0)
+
+
+def expsum_logdet(k: ExpSum, rule: QuadRule, U: Optional[np.ndarray] = None,
+                  M: Optional[np.ndarray] = None) -> LogDet:
+    """log det(I + S (T_k + U M U^T) S) on the nodes of ``rule``.
+
+    S = diag(sqrt(rule.weights)), T_k(i, j) = k(x_i - x_j); U (N x m) and
+    M (m x m) are an optional low-rank term.  The nodes are
+    taken in increasing order and cut into panels of PANEL; e_I is the
+    last node of panel I.  Below the diagonal T_k has the generators
+    p_i = e^{-eta (x_i - e_{I-1})} and q_j = w_pos e^{-eta (e_J - x_j)},
+    and the transitions a_I = e^{-eta (e_I - e_{I-1})} <= 1 between them;
+    above it the same with w_neg; U M U^T adds m generators of transition 1.
+    With state f (zero before the first panel), panel I contributes
+    log det(gamma_I), gamma_I = D_I - p f p^T, and
+    f <- a f a + (a f p^T - q^T) gamma_I^{-1} (p f a - q).
+    Each gamma_I is factored by ``logdet.lu_logdet``.
+    """
+    order = np.argsort(rule.nodes, kind="stable")
+    x = rule.nodes[order]
+    s = np.sqrt(rule.weights[order])
+    n = len(x)
+    starts = np.arange(0, n, PANEL)
+    ends = x[np.minimum(starts + PANEL, n) - 1]
+    refs = np.concatenate([x[:1], ends[:-1]])
+    panel = np.arange(n) // PANEL
+    eta = k.eta
+    p = s[:, None] * np.exp(-np.multiply.outer(x - refs[panel], eta))
+    q = s[:, None] * np.exp(-np.multiply.outer(ends[panel] - x, eta))
+    a = np.exp(-np.multiply.outer(ends - refs, eta))
+    h_pos, h_neg = q * k.w_pos, q * k.w_neg
+    symmetric = k.even
+    if U is not None:
+        su = s[:, None] * U[order]
+        p = np.hstack([p, su])
+        h_pos = np.hstack([h_pos, su @ M.T])
+        h_neg = np.hstack([h_neg, su @ M])
+        a = np.hstack([a, np.ones((len(starts), su.shape[1]))])
+        symmetric = symmetric and np.array_equal(M, M.T)
+    dtype = np.result_type(p, h_pos, h_neg)
+    f = np.zeros((p.shape[1], p.shape[1]), dtype=dtype)
+    lds = []
+    for i, lo in enumerate(starts):
+        sl = slice(lo, lo + PANEL)
+        xi, si, pi, ai = x[sl], s[sl], p[sl], a[i]
+        block = k.block(xi) * np.multiply.outer(si, si)
+        if U is not None:
+            block += su[sl] @ M @ su[sl].T
+        block[np.diag_indices_from(block)] += 1.0
+        fp = f @ pi.T
+        ld, lu = lu_logdet(block - pi @ fp)
+        lds.append(ld)
+        left = ai[:, None] * fp - h_pos[sl].T
+        right = left.T if symmetric else (pi @ f) * ai - h_neg[sl]
+        f *= ai[:, None]
+        f *= ai
+        f += left @ lu_solve(lu, right, check_finite=False)
+    return LogDet(math.fsum(ld.ln_abs for ld in lds), math.fsum(ld.arg for ld in lds))

@@ -57,11 +57,22 @@ def logdet(matrix) -> LogDet:
     ln_abs sums log|pivot|; arg sums pivot arguments plus pi per row swap.
     Raises SingularMatrix when a pivot magnitude falls below 1e-300.
     """
+    return _factor(matrix)[0]
+
+
+def lu_logdet(matrix):
+    """``logdet`` together with the LU factors ``(lu, piv)`` it was read
+    from, for a caller that goes on to solve with them
+    (``scipy.linalg.lu_solve``)."""
+    return _factor(matrix)
+
+
+def _factor(matrix):
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
-        return LogDet(0.0, 0.0)
+        return LogDet(0.0, 0.0), None
     lu, piv = lu_factor(a, check_finite=False)
     diag = np.diag(lu)
     mags = np.abs(diag)
@@ -75,4 +86,4 @@ def logdet(matrix) -> LogDet:
     # each row interchange flips the sign of the determinant
     swaps = int(np.sum(piv != np.arange(len(piv))))
     arg += math.pi * swaps
-    return LogDet(ln_abs, arg)
+    return LogDet(ln_abs, arg), (lu, piv)

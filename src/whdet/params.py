@@ -7,7 +7,7 @@ before any work.  Strips are open intervals of Re b; upper-case entry
 points are AsymptoteSpec kinds.
 
 MATRIX            Re b > -1/2         fourier_coeff_v, d_n, W2R_CONT, T2N_DISCRETE
-SECH              (-3/2, 1/2)         LineSymbol(PHI), ln_akhiezer_kac_E, SECH,
+SECH              (-3/2, 1/2)         LineSymbol(PHI), sech_kernel, ln_akhiezer_kac_E, SECH,
                                       hankel_section_inverse_det with sign -1
 CONTINUOUS_PLUS   (-1/2, 3/2)         CONTINUOUS_PLUS, hankel_section_inverse_det
                                       with sign +1

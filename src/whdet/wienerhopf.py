@@ -1,9 +1,12 @@
 """Truncated Wiener-Hopf +- Hankel operators on [0, R] by Nystrom
 discretization, and the sech-symbol laboratory.
 
-Kernels come from the branch-cut representation (a finite sum of decaying
-exponentials), so the W-block k(x_i - x_j) and H-block k(x_i + x_j) are
-assembled with two matrix products instead of per-pair quadrature.
+Every kernel is a compressed exponential sum k(u) = sum_q w_q e^{-eta_q |u|}
+of a few dozen terms (``symbols.cut_kernel``, ``symbols.sech_kernel``).
+The W-block k(x_i - x_j) is then quasiseparable, and the H-block
+k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j} is of rank r, so
+``expsum.expsum_logdet`` takes every determinant here in O(N r^2) time and
+O(N r) memory, at any truncation R; no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
-from .logdet import LogDet, logdet
+from .expsum import ExpSum, expsum_logdet
+from .logdet import LogDet
 from .params import BetaContext, beta_value, check_sign, working_beta
 from .quadrature import QuadRule, gauss_rule
 from .specfun import ln_barnes_g
-from .symbols import CutKernel, LineKind, LineSymbol, cut_eta_rule, cut_kernel, eval_line
+from .symbols import LineKind, LineSymbol, cut_kernel, cut_rule, eval_line, sech_kernel
 
 _SUPPORTED = (LineKind.VHAT_EPS, LineKind.PHI, LineKind.UHAT_EPS)
-#: beyond this truncation the e^{+eta x} factor of the cut assembly overflows
-_FAST_PATH_MAX_R = 600.0
 
 
 def wh_rule(R: float, panels: Optional[int] = None, nodes: int = 16) -> QuadRule:
@@ -73,52 +75,10 @@ class TruncatedWH:
         check_sign(self.sign)
 
 
-def _sech_blocks(beta, xs: np.ndarray, sign: int) -> np.ndarray:
-    """k(x_i - x_j) + sign k(x_i + x_j) for the sech kernel."""
-    pref = -np.sin(np.pi * beta) / (2.0 * np.pi)
-    K = pref / np.cosh(np.subtract.outer(xs, xs) / 2.0)
-    if sign:
-        K += sign * pref / np.cosh(np.add.outer(xs, xs) / 2.0)
-    return K
-
-
-def _cut_blocks(ker: CutKernel, xs: np.ndarray, sign: int) -> np.ndarray:
-    """W-block k(x_i-x_j) plus sign times the H-block k(x_i+x_j), from a
-    cut representation; sign 0 assembles the W-block alone."""
-    if xs[-1] > _FAST_PATH_MAX_R:
-        raise DomainError(
-            f"cut kernel assembly needs nodes in [0, {_FAST_PATH_MAX_R:g}], "
-            f"got a node at {xs[-1]:.6g}")
-    eta = ker.eta
-    e_dn = np.exp(-np.outer(xs, eta))           # e^{-eta x_i}
-    e_up = np.exp(np.outer(xs, eta))            # e^{+eta x_j}
-    lower = e_dn @ (e_up * ker.w_pos).T         # valid on i >= j
-    if ker.w_pos is ker.w_neg or np.array_equal(ker.w_pos, ker.w_neg):
-        K = np.tril(lower)
-        K += np.tril(lower, -1).T
-    else:
-        upper = e_dn @ (e_up * ker.w_neg).T     # k(neg) at |x_i-x_j|, use on i < j
-        K = np.tril(lower, -1)
-        K += np.triu(upper.T, 1)
-        K[np.diag_indices_from(K)] = 0.5 * (np.sum(ker.w_pos) + np.sum(ker.w_neg))
-    if sign:
-        K += e_dn @ (e_dn * (sign * ker.w_pos)).T
-    return K
-
-
-def _system(symbol: LineSymbol, rule: QuadRule, sign: int) -> np.ndarray:
-    """I + sqrt(w_i) [k(x_i - x_j) + sign k(x_i + x_j)] sqrt(w_j); sign 0
-    leaves the H-block out.  Real for a real beta (see working_beta)."""
-    xs = rule.nodes
+def _kernel(symbol: LineSymbol) -> ExpSum:
     if symbol.kind is LineKind.PHI:
-        K = _sech_blocks(working_beta(complex(symbol.beta)), xs, sign)
-    else:
-        K = _cut_blocks(cut_kernel(symbol), xs, sign)
-    sw = np.sqrt(rule.weights)
-    K *= sw[:, None]
-    K *= sw[None, :]
-    K[np.diag_indices_from(K)] += 1.0
-    return K
+        return sech_kernel(symbol.beta)
+    return cut_kernel(symbol)
 
 
 def det_wr_pm_hr(t: TruncatedWH) -> LogDet:
@@ -126,14 +86,17 @@ def det_wr_pm_hr(t: TruncatedWH) -> LogDet:
     rule = t.rule or wh_rule(t.R)
     if abs(rule.interval[1] - t.R) > 1e-12 or rule.interval[0] != 0.0:
         raise DomainError(f"rule interval {rule.interval} does not match [0, {t.R}]")
-    return logdet(_system(t.symbol, rule, t.sign))
+    k = _kernel(t.symbol)
+    # H-block: k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j}
+    U = np.exp(-np.multiply.outer(rule.nodes, k.eta))
+    return expsum_logdet(k, rule, U, np.diag(t.sign * k.w_pos))
 
 
 def det_w2r(symbol: LineSymbol, R2: float, rule: Optional[QuadRule] = None) -> LogDet:
     """log det W_{R2}(a) = log det of I + k(x_i - x_j) on [0, R2]."""
     if symbol.kind not in _SUPPORTED:
         raise DomainError(f"symbol kind {symbol.kind} not supported for truncation")
-    return logdet(_system(symbol, rule or wh_rule(R2), 0))
+    return expsum_logdet(_kernel(symbol), rule or wh_rule(R2))
 
 
 def ln_akhiezer_kac_E(beta) -> complex:
@@ -200,30 +163,21 @@ def factor_product_logdet(beta, eps: float, R: float,
 
     The two factors are Volterra (their kernels live on one side of the
     diagonal) and are not separately trace class, so the product kernel
-    k_-(x-y) + k_+(x-y) + int k_-(x-z) k_+(z-y) dz is assembled directly;
-    the composition integral is evaluated in closed form through the cut
-    representation.  The continuous determinant equals G[a]^R with
+    k_-(x-y) + k_+(x-y) + int k_-(x-z) k_+(z-y) dz is taken directly; the
+    composition integral is in closed form through the cut representation:
+    an even exponential sum plus a term of the rank of the compressed sum.  The continuous determinant equals G[a]^R with
     ln G[a] = -beta (1 - eps).
     """
     b = working_beta(beta_value(beta, BetaContext.KERNEL_FAMILY))
     rule = rule or wh_rule(R)
-    xs = rule.nodes
-    # cut representation of k_+ (supported on w > 0): weights on [eps, 1]
-    erule = cut_eta_rule(eps)
-    eta, wq = erule.nodes, erule.weights
-    W = -np.sin(np.pi * b) / np.pi * wq * ((eta - eps) / (1.0 - eta)) ** b
-    # ksum(u) = k_+(|u|); composition term C = g2(|x-y|) - A^T G A
-    e_dn = np.exp(-np.outer(xs, eta))
-    e_up = np.exp(np.outer(xs, eta))
-    lower = e_dn @ (e_up * W).T
-    ksum = np.tril(lower) + np.tril(lower, -1).T
+    # cut representation of k_+ (supported on w > 0): W_q e^{-eta_q w}
+    eta, W = cut_rule(eps, b)
+    W = -np.sin(np.pi * b) / np.pi * W
+    # composition term: g2(|x - y|) - A^T G A with A_qi = e^{-eta_q (R - x_i)},
+    # g2(u) = sum_q' [sum_q G_qq'] e^{-eta_q' u}
     G = np.multiply.outer(W, W) / np.add.outer(eta, eta)
-    # g2(u) = sum_q' [sum_q W_q/(eta_q+eta_q')] W_q' e^{-eta_q' u}
-    W2 = np.sum(G, axis=0)
-    lower2 = e_dn @ (e_up * W2).T
-    g2 = np.tril(lower2) + np.tril(lower2, -1).T
-    A = np.exp(-np.multiply.outer(eta, R - xs))
-    C = g2 - A.T @ G @ A
-    sw = np.sqrt(rule.weights)
-    T = sw[:, None] * (ksum + C) * sw[None, :]
-    return logdet(np.eye(len(xs), dtype=T.dtype) + T)
+    k = ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)).compress()
+    # A^T G A through the compressed exponents: e^{-eta u} ~ e^{-eta_J u} interp
+    U = np.exp(-np.multiply.outer(R - rule.nodes, k.eta))
+    M = k.interp @ G @ k.interp.T
+    return expsum_logdet(k, rule, U, -0.5 * (M + M.T))

@@ -1,0 +1,84 @@
+"""Dense N x N oracles for the Wiener-Hopf routes.
+
+The library takes every Wiener-Hopf determinant from a compressed
+exponential sum through the quasiseparable recurrence of
+``whdet.expsum``.  The oracles here assemble the whole Nystrom matrix
+instead, from the uncompressed branch-cut sum (``raw_cut_kernel``) or the
+closed-form sech kernel, and factor it with a dense LU; so they check the
+compression and the recurrence together.  They form e^{+eta x}, so keep
+R (and N, for time and memory) small: R <= 600, N <= 4000.
+"""
+
+import numpy as np
+import pytest
+
+from whdet import ExpSum, LineKind, cut_kernel, cut_rule, logdet
+from whdet.params import working_beta
+
+
+def raw_cut_kernel(symbol) -> ExpSum:
+    """``cut_kernel`` before compression: every term of ``cut_rule``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExpSum, "compress", lambda self: self)
+        return cut_kernel(symbol)
+
+
+def _cut_blocks(ker: ExpSum, xs, sign):
+    """W-block k(x_i - x_j) plus sign times the H-block k(x_i + x_j)."""
+    eta = ker.eta
+    e_dn = np.exp(-np.multiply.outer(xs, eta))
+    e_up = np.exp(np.multiply.outer(xs, eta))
+    lower = e_dn @ (e_up * ker.w_pos).T         # valid on i >= j
+    upper = e_dn @ (e_up * ker.w_neg).T         # k(neg) at |x_i - x_j|, valid on i >= j
+    K = np.tril(lower, -1) + np.triu(upper.T, 1)
+    K[np.diag_indices_from(K)] = 0.5 * (np.sum(ker.w_pos) + np.sum(ker.w_neg))
+    if sign:
+        K += e_dn @ (e_dn * (sign * ker.w_pos)).T
+    return K
+
+
+def _sech_blocks(beta, xs, sign):
+    """k(x_i - x_j) + sign k(x_i + x_j) for the sech kernel."""
+    pref = -np.sin(np.pi * beta) / (2.0 * np.pi)
+    K = pref / np.cosh(np.subtract.outer(xs, xs) / 2.0)
+    if sign:
+        K += sign * pref / np.cosh(np.add.outer(xs, xs) / 2.0)
+    return K
+
+
+def _with_identity(K, rule):
+    sw = np.sqrt(rule.weights)
+    K = sw[:, None] * K * sw[None, :]
+    K[np.diag_indices_from(K)] += 1.0
+    return K
+
+
+def dense_system(symbol, rule, sign):
+    """I + sqrt(w_i) [k(x_i - x_j) + sign k(x_i + x_j)] sqrt(w_j); sign 0
+    leaves the H-block out."""
+    xs = rule.nodes
+    if symbol.kind is LineKind.PHI:
+        K = _sech_blocks(working_beta(complex(symbol.beta)), xs, sign)
+    else:
+        K = _cut_blocks(raw_cut_kernel(symbol), xs, sign)
+    return _with_identity(K, rule)
+
+
+def dense_wr_pm_hr(symbol, rule, sign):
+    return logdet(dense_system(symbol, rule, sign))
+
+
+def dense_w2r(symbol, rule):
+    return logdet(dense_system(symbol, rule, 0))
+
+
+def dense_factor_product(beta, eps, R, rule):
+    """The Nystrom matrix of W_R(a_-) W_R(a_+), assembled in full."""
+    b = working_beta(complex(beta))
+    xs = rule.nodes
+    eta, W = cut_rule(eps, b)
+    W = -np.sin(np.pi * b) / np.pi * W
+    G = np.multiply.outer(W, W) / np.add.outer(eta, eta)
+    K = _cut_blocks(ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)), xs, 0)
+    A = np.exp(-np.multiply.outer(eta, R - xs))
+    return logdet(_with_identity(K - A.T @ G @ A, rule))

@@ -1,0 +1,179 @@
+"""Exponential sums: the compression of the branch-cut and sech kernels, and
+the quasiseparable log-determinant behind every Wiener-Hopf route, against
+the dense N x N oracles of ``_dense_oracle``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from whdet import (
+    BetaContext,
+    ExpSum,
+    LineKind,
+    LineSymbol,
+    QuadRule,
+    TruncatedWH,
+    cut_kernel,
+    det_w2r,
+    det_wr_pm_hr,
+    expsum_logdet,
+    factor_product_logdet,
+    reflected_union_rule,
+    rel_exp_diff,
+    sech_kernel,
+    wh_rule,
+)
+from whdet.params import _STRIPS
+
+from _dense_oracle import (
+    dense_factor_product,
+    dense_w2r,
+    dense_wr_pm_hr,
+    raw_cut_kernel,
+)
+
+#: beta across the whole KERNEL_FAMILY strip, edges included to 1e-3
+STRIP_BETAS = (-0.999, -0.95, -0.8, -0.5, -0.2, 0.1, 0.4, 0.7, 0.9, 0.999, 0.3 + 0.4j)
+
+
+def _check_grid(eps):
+    """u = 0 and 4000 log-spaced points to ten times the sample range; no
+    point of it is a sample point of compress."""
+    return np.concatenate([[0.0], np.geomspace(1.3e-4, 400.0 / eps, 4000)])
+
+
+class TestCompression:
+    @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
+    def test_cut_kernel_sup_error_and_terms(self, kind, eps):
+        worst = 0.0
+        for b in STRIP_BETAS:
+            sym = LineSymbol(kind, beta=b, eps=eps)
+            k, raw = cut_kernel(sym), raw_cut_kernel(sym)
+            assert k.terms <= 80 and raw.terms >= 700
+            for u in (_check_grid(eps), -_check_grid(eps)):
+                full = raw(u)
+                err = np.max(np.abs(k(u) - full)) / np.max(np.abs(full))
+                worst = max(worst, err)
+            assert k.err <= 1e-13
+        assert worst <= 1e-13
+
+    def test_sech_fit(self):
+        k = sech_kernel(0.3)
+        u = np.concatenate([[0.0], np.geomspace(1e-5, 400.0, 4000)])
+        want = -np.sin(0.3 * np.pi) / (2.0 * np.pi) / np.cosh(u / 2.0)
+        assert np.max(np.abs(k(u) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert k.terms <= 80 and np.min(k.eta) >= 0.5
+
+    def test_sech_fit_is_beta_free(self):
+        a, b = sech_kernel(0.3), sech_kernel(-1.2 + 0.1j)
+        assert a.eta is b.eta
+        ratio = b.w_pos / a.w_pos
+        assert np.allclose(ratio, ratio[0], rtol=1e-15, atol=0)
+
+    def test_interpolation_matrix(self):
+        # every original exponential from the kept ones
+        sym = LineSymbol(LineKind.VHAT_EPS, beta=0.3, eps=1e-3)
+        k, raw = cut_kernel(sym), raw_cut_kernel(sym)
+        u = _check_grid(1e-3)
+        approx = np.exp(-np.multiply.outer(u, k.eta)) @ k.interp
+        assert np.max(np.abs(approx - np.exp(-np.multiply.outer(u, raw.eta)))) <= 1e-13
+
+    def test_jump_kernel_sides(self):
+        # u > 0 reads w_pos, u < 0 w_neg, u = 0 their mean
+        k = ExpSum(np.array([0.5, 1.0]), np.array([1.0, 2.0]), np.array([3.0, -1.0]))
+        got = k(np.array([1.0, -1.0, 0.0]))
+        want = [np.exp(-0.5) + 2 * np.exp(-1.0), 3 * np.exp(-0.5) - np.exp(-1.0), 2.5]
+        assert np.allclose(got, want, rtol=1e-15)
+
+
+class TestExpsumLogdet:
+    def test_node_order_is_irrelevant(self):
+        sym = LineSymbol(LineKind.UHAT_EPS, beta=0.4, eps=0.1)
+        k = cut_kernel(sym)
+        rule = wh_rule(5.0, panels=10, nodes=8)
+        perm = np.random.default_rng(0).permutation(len(rule))
+        shuffled = QuadRule(rule.nodes[perm], rule.weights[perm], rule.interval)
+        U = np.exp(-np.multiply.outer(rule.nodes, k.eta))
+        M = np.diag(k.w_pos)
+        assert rel_exp_diff(expsum_logdet(k, rule, U, M),
+                            expsum_logdet(k, shuffled, U[perm], M)) <= 1e-13
+
+    def test_partial_last_panel(self):
+        # N = 9 * 7 = 63 nodes: three full panels of 16 and one of 15
+        sym = LineSymbol(LineKind.VHAT_EPS, beta=-0.6, eps=0.1)
+        rule = wh_rule(6.0, panels=9, nodes=7)
+        for sign in (+1, -1):
+            assert rel_exp_diff(det_wr_pm_hr(TruncatedWH(sym, 6.0, rule, sign)),
+                                dense_wr_pm_hr(sym, rule, sign)) <= 1e-13
+
+
+# --- the dense oracle over each strip, real and complex beta ---------------
+
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+FRACTION = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+IMAG = st.one_of(st.just(0.0), st.floats(-0.5, 0.5))
+R_SIZE = st.floats(1.0, 12.0)
+EPS = st.sampled_from([0.05, 0.1, 0.5])
+
+
+#: distance of the complex draws from the strip edges.  The cut weight's end
+#: singularity (eta - eps)^{-|b|} integrates to about 1/(1 - |Re b|); for a
+#: real b the prefactor sin(pi b) vanishes there too, but not for a complex
+#: one, so the kernel grows like |sin(pi b)|/(1 - |Re b|): at b = -0.99 + 0.5i,
+#: eps = 0.05 it is 500 at u = 0, the matrix's condition number 5e3 at R = 6,
+#: and the compression's 1e-15 relative change of the kernel moves log det by
+#: 1e-12.  Real draws cover the whole open strip.
+COMPLEX_EDGE_MARGIN = 0.1
+
+
+def _beta(context, u, im):
+    lo, hi = _STRIPS[context]
+    if im:
+        lo, hi = lo + COMPLEX_EDGE_MARGIN, hi - COMPLEX_EDGE_MARGIN
+    b = lo + u * (hi - lo)
+    if not lo < b < hi:  # u within rounding of 0 or 1
+        b = 0.5 * (lo + hi)
+    return complex(b, im) if im else b
+
+
+def _symbol(kind, b, eps):
+    if kind is LineKind.PHI:
+        return LineSymbol(kind, beta=b)
+    return LineSymbol(kind, beta=b, eps=eps)
+
+
+def _context(kind):
+    return BetaContext.SECH if kind is LineKind.PHI else BetaContext.KERNEL_FAMILY
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS, LineKind.PHI])
+@PROPERTY
+@given(u=FRACTION, im=IMAG, R=R_SIZE, eps=EPS)
+def test_det_wr_pm_hr_matches_dense(kind, sign, u, im, R, eps):
+    sym = _symbol(kind, _beta(_context(kind), u, im), eps)
+    rule = wh_rule(R)
+    assert len(rule) <= 4000
+    got = det_wr_pm_hr(TruncatedWH(sym, R, rule, sign))
+    assert rel_exp_diff(got, dense_wr_pm_hr(sym, rule, sign)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.PHI])
+@PROPERTY
+@given(u=FRACTION, im=IMAG, R=R_SIZE, eps=EPS)
+def test_det_w2r_matches_dense(kind, u, im, R, eps):
+    sym = _symbol(kind, _beta(_context(kind), u, im), eps)
+    rule = reflected_union_rule(wh_rule(R))
+    assert len(rule) <= 4000
+    assert rel_exp_diff(det_w2r(sym, 2.0 * R, rule), dense_w2r(sym, rule)) <= 1e-12
+
+
+@PROPERTY
+@given(u=FRACTION, im=IMAG, R=R_SIZE, eps=EPS)
+def test_factor_product_matches_dense(u, im, R, eps):
+    b = _beta(BetaContext.KERNEL_FAMILY, u, im)
+    rule = wh_rule(R)
+    got = factor_product_logdet(b, eps, R, rule=rule)
+    assert rel_exp_diff(got, dense_factor_product(b, eps, R, rule)) <= 1e-12

@@ -22,6 +22,7 @@ from whdet import (
     det_tn_exact,
     det_w2r,
     det_wr_pm_hr,
+    expsum,
     factor_product_logdet,
     fourier_coeff_u,
     fourier_coeff_v,
@@ -34,6 +35,7 @@ from whdet import (
     ln_det_hankel_reg_exact,
     nystrom,
     reg_coeff_table,
+    sech_kernel,
     structured,
     wh_rule,
     wienerhopf,
@@ -158,6 +160,7 @@ STRIP_TABLE = {
         (lambda b: AsymptoteSpec(AsymKind.T2N_DISCRETE, b), MATRIX_EDGES, 0.3),
     "LineSymbol(PHI)": (lambda b: LineSymbol(LineKind.PHI, beta=b), SECH_EDGES, -1.2),
     "ln_akhiezer_kac_E": (ln_akhiezer_kac_E, SECH_EDGES, -1.2),
+    "sech_kernel": (sech_kernel, SECH_EDGES, -1.2),
     "AsymptoteSpec(SECH)": (lambda b: AsymptoteSpec(AsymKind.SECH, b), SECH_EDGES, -1.2),
     "hankel_section_inverse_det(-1)":
         (lambda b: hankel_section_inverse_det(b, 2, -1, N=16), SECH_EDGES, -0.3),
@@ -202,8 +205,8 @@ def test_strip_table(name, monkeypatch):
     call, edges, inside = STRIP_TABLE[name]
     call(inside)
     call(BetaParam(inside, BetaContext.FINITE))
-    monkeypatch.setattr(wienerhopf, "_cut_blocks", _unreachable)
-    monkeypatch.setattr(wienerhopf, "logdet", _unreachable)
+    monkeypatch.setattr(wienerhopf, "expsum_logdet", _unreachable)
+    monkeypatch.setattr(expsum, "lu_logdet", _unreachable)
     monkeypatch.setattr(structured, "logdet", _unreachable)
     for bad in (float("nan"), complex(0.3, float("nan")), *edges):
         with pytest.raises(DomainError):

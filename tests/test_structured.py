@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.special import loggamma
 
 from whdet import (
@@ -28,7 +29,7 @@ from whdet import (
 )
 from whdet.params import is_near_nonpositive_integer
 from whdet.structured import _v_coeff_array
-from whdet.symbols import u_coeff_array
+from whdet.symbols import u_coeff_array, v_coeff_array
 
 
 def cofactor_det(a):
@@ -188,12 +189,25 @@ class TestDetTnExact:
 
 
 def scalar_v_coeff(b: complex, k: int) -> complex:
-    """The closed form of fourier_coeff_v evaluated one k at a time."""
-    for arg in (1 + b + k, 1 + b - k):
+    """The closed form of fourier_coeff_v evaluated one k at a time, every
+    Gamma at an argument of positive real part: where 1+b-|k| is not, through
+    1/Gamma(1+b-m) = Gamma(m-b) (-1)^{m+1} sin(pi b)/pi."""
+    m = abs(k)
+    for arg in (1 + b + m, 1 + b - m):
         if is_near_nonpositive_integer(arg):
             return 0.0
-    ln = loggamma(1 + 2 * b) - loggamma(1 + b + k) - loggamma(1 + b - k)
-    return (-1) ** (k % 2) * complex(np.exp(ln))
+    ln = loggamma(1 + 2 * b) - loggamma(1 + b + m)
+    if (1 + b - m).real > 0:
+        return (-1) ** (m % 2) * complex(np.exp(ln - loggamma(1 + b - m)))
+    return -np.sin(np.pi * b) / np.pi * complex(np.exp(ln + loggamma(m - b)))
+
+
+def mp_v_coeff(b: complex, k: int) -> complex:
+    """(-1)^k Gamma(1+2b) / (Gamma(1+b+k) Gamma(1+b-k)) at 40 digits."""
+    with mp.workdps(40):
+        b = mp.mpc(b)
+        return complex((-1) ** (k % 2) * mp.gamma(1 + 2 * b)
+                       * mp.rgamma(1 + b + k) * mp.rgamma(1 + b - k))
 
 
 class TestCoefficientArrays:
@@ -214,6 +228,27 @@ class TestCoefficientArrays:
             zero = want == 0
             assert np.array_equal(got[zero], want[zero])
             assert np.max(np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])) <= 1e-15
+
+    @pytest.mark.parametrize("beta", [0.3, -0.42, -0.4999998212, 2.7, 0.2 + 0.15j, -0.3 - 0.4j])
+    def test_v_array_against_mpmath(self, beta):
+        # log-Gamma differences near |k| ln|k| ~ 350 leave ~1e-13 relative
+        # (the form through complex loggamma at 1+b-k < 0 measured 1.5e-13)
+        ks = np.arange(-79, 80)
+        got = v_coeff_array(complex(beta), ks)
+        want = np.array([mp_v_coeff(complex(beta), int(k)) for k in ks])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-13
+
+    @pytest.mark.parametrize("beta", [0.3, -0.42, -0.4999998212, 2.7])
+    def test_v_array_real_beta_is_complex_beta_real_part(self, beta):
+        ks = np.arange(-200, 201)
+        real, cplx = v_coeff_array(beta, ks), v_coeff_array(complex(beta, 1e-200), ks)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.max(np.abs(real - cplx) / np.abs(real)) <= 1e-15
+
+    def test_d_n_sign_exact_near_matrix_edge(self):
+        # the reflection keeps sin(pi m) rounding out of the coefficients'
+        # phase; through complex loggamma at 1+b-k < 0 this arg was -1.9e-9
+        assert abs(d_n(-0.4999998212 + 1e-200j, 6, +1).arg) < 1e-12
 
     def test_v_array_integer_beta_is_finite_difference(self):
         # (2 - 2 cos theta)^2 = 6 - 4(t + 1/t) + (t^2 + 1/t^2)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import loggamma, sici
 
@@ -278,6 +279,25 @@ def ft_kernel_uhat_eps(beta, eps, x):
     return total / np.pi
 
 
+def mp_kernel(s, x):
+    """k(x) = (1/pi) int_0^inf [Re(s - 1) cos(xi x) + Im(s) sin(xi x)] d xi
+    at 20 digits by mpmath's oscillatory quadrature (real beta)."""
+    j = mp.mpc(0, 1)
+    b, eps = mp.mpf(complex(s.beta).real), mp.mpf(s.eps)
+
+    def sym(xi):
+        if s.kind is LineKind.VHAT_EPS:
+            return ((xi * xi + eps * eps) / (xi * xi + 1)) ** b
+        return ((xi - j * eps) / (xi - j)) ** (-b) * ((xi + j * eps) / (xi + j)) ** b
+
+    def f(xi):
+        v = sym(xi)
+        return mp.re(v - 1) * mp.cos(xi * x) + mp.im(v) * mp.sin(xi * x)
+
+    with mp.workdps(20):
+        return float(mp.quadosc(f, [0, mp.inf], omega=abs(x)) / mp.pi)
+
+
 class TestKernelLine:
     def test_beta_zero(self):
         s = LineSymbol(LineKind.VHAT_EPS, beta=0.0, eps=0.5)
@@ -304,6 +324,54 @@ class TestKernelLine:
             got = kernel_line(s, x)
             want = ft_kernel_uhat_eps(0.3, 0.01, x)
             assert abs(got - want) < 1e-6, (x, got, want)
+
+    @pytest.mark.parametrize("b", [0.6, -0.6, 0.8, -0.8, 0.9, -0.9, 0.95])
+    def test_edge_of_strip_vs_ft(self, b):
+        # the end singularities (eta - eps)^b, (1 - eta)^{-b} of the cut weight
+        # take Gauss-Jacobi end panels; with Gauss-Legendre panels alone the
+        # kernel was off by 1.2e-2 at b = 0.8 and 1.1e-1 at b = 0.9
+        vhat = LineSymbol(LineKind.VHAT_EPS, beta=b, eps=0.1)
+        for x in (0.5, 2.0):
+            assert abs(kernel_line(vhat, x) - ft_kernel_vhat_eps(b, 0.1, x)) < 1e-7
+        uhat = LineSymbol(LineKind.UHAT_EPS, beta=b, eps=0.1)
+        for x in (0.5, -0.5, 2.0):
+            assert abs(kernel_line(uhat, x) - ft_kernel_uhat_eps(b, 0.1, x)) < 1e-7
+
+    @pytest.mark.parametrize("kind, b, x", [(LineKind.VHAT_EPS, 0.95, 0.5),
+                                            (LineKind.UHAT_EPS, -0.9, -0.5),
+                                            (LineKind.UHAT_EPS, 0.95, 2.0)])
+    def test_edge_of_strip_vs_mp_quad(self, kind, b, x):
+        # the scipy oracles above resolve to about 1e-11; mpmath to 1e-15
+        s = LineSymbol(kind, beta=b, eps=0.1)
+        assert abs(kernel_line(s, x) - mp_kernel(s, x)) < 1e-13
+
+    @pytest.mark.parametrize("b", [0.3, -0.3, 0.9, -0.9, 0.9 + 0.3j, -0.9 + 0.3j])
+    def test_small_eps_vs_mp_cut_integral(self, b):
+        # k(x) = -(sin pi b)/pi int_eps^1 ((eta^2-eps^2)/(1-eta^2))^b e^{-eta x}
+        # by tanh-sinh at 30 digits, in the distance d to the nearer end (eta
+        # itself would round d = 1 - eta) with d = s^p, p = 1/(1 - |Re b|) at
+        # the singular end, which leaves a smooth modulus.  Before the end
+        # stubs were integrated exactly the kernel was 7e-8 off at b = 0.3,
+        # x = 0.5, and 0.3 off at b = 0.9 + 0.3i, where Gauss-Jacobi weights
+        # times the phase d^{0.3i} at the nodes still missed the phase.
+        eps = 1e-4
+        s = LineSymbol(LineKind.VHAT_EPS, beta=b, eps=eps)
+        with mp.workdps(30):
+            B, E = mp.mpc(b), mp.mpf(eps)
+            half = (1 - E) / 2
+
+            def weight(lo, hi, eta, x):  # lo = eta - eps, hi = 1 - eta
+                return (lo * (eta + E)) ** B / (hi * (1 + eta)) ** B * mp.exp(-eta * x)
+
+            def end(g, p):  # int_0^half g(d) dd with d = s^p
+                return mp.quad(lambda t: g(t**p) * p * t ** (p - 1),
+                               [0, mp.mpf("1e-3") ** (1 / p), half ** (1 / p)])
+
+            for x in (0.5, 5.0):
+                total = (end(lambda d: weight(d, 1 - E - d, E + d, x), 1 / (1 + min(B.real, 0)))
+                         + end(lambda d: weight(1 - E - d, d, 1 - d, x), 1 / (1 - max(B.real, 0))))
+                want = complex(-mp.sin(mp.pi * B) / mp.pi * total)
+                assert abs(kernel_line(s, x) - want) <= 1e-13 * abs(want)
 
     def test_kernel_evenness(self):
         for s in (LineSymbol(LineKind.VHAT_EPS, beta=0.3, eps=0.05),

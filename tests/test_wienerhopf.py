@@ -181,15 +181,21 @@ class TestFactorProduct:
 
 
 class TestCutAssemblyRange:
-    @pytest.mark.parametrize("det", [
-        lambda sym, rule: det_wr_pm_hr(TruncatedWH(sym, 700.0, rule, +1)),
-        lambda sym, rule: det_w2r(sym, 700.0, rule),
-    ], ids=["det_wr_pm_hr", "det_w2r"])
-    def test_beyond_overflow_range_raises(self, det):
-        # e^{+eta x} overflows past x = 600; a coarse rule keeps the
-        # matrices small, so a missing guard returns a number instead
-        with pytest.raises(DomainError):
-            det(vhat(0.3, 1e-3), wh_rule(700.0, panels=2, nodes=4))
+    @pytest.mark.parametrize("R", [1000.0, 3000.0])
+    @pytest.mark.parametrize("sym", [vhat(0.3, 1e-3), LineSymbol(LineKind.PHI, beta=0.3)],
+                             ids=["vhat_eps", "phi"])
+    def test_doubling_identity_at_large_R(self, sym, R):
+        # eps R up to 3: far beyond the R <= 600 that the e^{+eta x} factors
+        # of a dense assembly allowed.  The identity is exact for any matched
+        # rule, so a coarse one (N = 4R, 8R; the default has 32R, 64R)
+        # checks the arithmetic.  At one 8-node panel per 8 units the Nystrom
+        # matrix of W_R + H_R turns indefinite (eigenvalue -2.6e-3 at R = 300)
+        # and the identity holds only to 7.5e-10 at R = 3000.
+        rule = wh_rule(R, panels=int(R) // 2, nodes=8)
+        ldp = det_wr_pm_hr(TruncatedWH(sym, R, rule, +1))
+        ldm = det_wr_pm_hr(TruncatedWH(sym, R, rule, -1))
+        ld2 = det_w2r(sym, 2.0 * R, reflected_union_rule(rule))
+        assert rel_exp_diff(ld2, ldp + ldm) < 1e-10
 
     def test_sech_symbol_unaffected(self):
         sym = LineSymbol(LineKind.PHI, beta=0.3)
