@@ -34,7 +34,7 @@ from .fredholm import (
     nystrom,
     quotient_identity,
 )
-from .expsum import ExpSum, expsum_logdet
+from .expsum import CoeffSum, ExpSum, expsum_logdet, hankel_logdet
 from .logdet import LogDet, logdet, rel_exp_diff
 from .params import BetaContext, BetaParam, beta_value, check_beta
 from .quadrature import QuadRule, gauss_rule
@@ -68,6 +68,7 @@ from .symbols import (
     fourier_coeff_regularized,
     fourier_coeff_u,
     fourier_coeff_v,
+    jump_coeff_sum,
     kernel_line,
     reg_coeff_table,
     sech_kernel,

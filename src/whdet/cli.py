@@ -25,10 +25,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import asymptotics, fredholm, structured, symbols, wienerhopf
+from . import asymptotics, expsum, fredholm, structured, symbols, wienerhopf
 from .asymptotics import AsymKind, AsymptoteSpec, asymptote_log
 from .errors import DomainError, WhdetError
-from .logdet import LogDet, logdet, rel_exp_diff
+from .logdet import LogDet, rel_exp_diff
 from .params import BetaContext, check_beta
 
 CSV_HEADER = [
@@ -43,6 +43,9 @@ CSV_HEADER = [
 
 #: sweep-continuous rows also carry the h -> h/2 change behind each value
 CONTINUOUS_HEADER = CSV_HEADER + ["refinement"]
+
+#: sweep-discrete rows also carry rel_exp_diff(d_n, d_n_exact)
+DISCRETE_HEADER = CSV_HEADER + ["error"]
 
 CHECK_HEADER = ["check", "measured", "tol"]
 
@@ -217,13 +220,10 @@ def run_verify(cfg: RunConfig):
             spec = fredholm.KernelSpec(fredholm.KernelFamily.KEPS_N,
                                        beta=b, n=n0, eps=1e-2)
             nys = fredholm.fredholm_logdet(fredholm.nystrom(spec), +1)
+            # the shifted section Q_n0 H(u_{b,r}) Q_n0 of the whole Hankel matrix
             r0 = (1 - 1e-2) / (1 + 1e-2)
-            M = max(256, int(math.ceil(17.0 / -math.log(r0))))
             csym = symbols.CircleSymbol(symbols.CircleKind.UBETA_R, beta=b, r=r0)
-            co = symbols.reg_coeff_table(csym, 2 * M + 2 * n0 + 2)[2 * M + 2 * n0 + 2:].real
-            j, k = np.indices((M, M))
-            H = co[j + k + 2 * n0 + 1]
-            hd = logdet(np.eye(M, dtype=H.dtype) + H)
+            hd = expsum.hankel_logdet(symbols.jump_coeff_sum(csym), +1, start=n0)
             check(f"kernel-vs-section({b:g})",
                   abs(np.exp(nys.log - hd.log) - 1.0), max(tol, 1e-6))
     return records, [c for c in records if not c["measured"] <= c["tol"]]
@@ -266,7 +266,9 @@ def _sweep_rows(cfg: RunConfig):
                     ld, refinement = _wh_logdet(cfg, b, sign, s)
                     rows.append({**_row(float(s), ld, asym), "refinement": refinement})
                 else:
-                    rows.append(_row(float(s), structured.d_n(b, s, sign), asym))
+                    ld = structured.d_n(b, s, sign)
+                    rows.append({**_row(float(s), ld, asym),
+                                 "error": rel_exp_diff(ld, structured.d_n_exact(b, s, sign))})
     return rows, []
 
 
@@ -311,6 +313,7 @@ def run_constants(cfg: RunConfig):
 
 def write_output(cfg: RunConfig, rows: list, violations: list):
     header = {"constants": CONSTANTS_HEADER, "verify": CHECK_HEADER,
+              "sweep-discrete": DISCRETE_HEADER,
               "sweep-continuous": CONTINUOUS_HEADER}.get(cfg.command, CSV_HEADER)
     cells = [{h: row[h] if isinstance(row[h], str) else f"{row[h]:.17g}" for h in header}
              for row in rows]

@@ -13,6 +13,12 @@ u = 0 plus log-spaced points up to 40/eta_min, where every term has decayed
 below e^{-40}; it depends on the exponents only, so one compressed sum
 serves every truncation R.
 
+``hankel_logdet`` takes the determinant of a Hankel section whose
+coefficients are an exponential sum in their index, c_{i} = sum_q w_q
+e^{-eta_q i}: H = E diag(w) E^T with E_{jq} = e^{-eta_q j}, so
+det(I + H) = det(I_r + diag(w) G) for the Gram matrix G = E^T E, a
+geometric sum in closed form at any number of rows, infinity included.
+
 ``expsum_logdet`` takes log det(I + S (T_k + U M U^T) S), where
 T_k(i, j) = k(x_i - x_j) on sorted nodes, S = diag(sqrt(quadrature
 weights)) and U M U^T is a low-rank term, in O(N r^2) time and O(N r)
@@ -33,7 +39,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import lu_solve, qr, solve_triangular
 
-from .logdet import LogDet, lu_logdet
+from .errors import DomainError
+from .logdet import LogDet, logdet, lu_logdet
 from .quadrature import QuadRule
 
 #: relative size of the last pivot that compress keeps
@@ -212,3 +219,50 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, U: Optional[np.ndarray] = None,
         f *= ai
         f += left @ lu_solve(lu, right, check_finite=False)
     return LogDet(math.fsum(ld.ln_abs for ld in lds), math.fsum(ld.arg for ld in lds))
+
+
+@dataclass(frozen=True)
+class CoeffSum:
+    """The coefficients c_1, c_2, ... of a symbol: c_k = lead[k - 1] for
+    k <= m = len(lead), and c_{m+1+u} = tail(u) beyond, with ``tail`` an
+    exponential sum in u >= 0."""
+
+    lead: np.ndarray
+    tail: ExpSum
+
+    def __call__(self, k):
+        """c_k at every integer k >= 1 of the array k."""
+        k = np.asarray(k)
+        m = len(self.lead)
+        out = self.tail(np.maximum(k - m - 1, 0))
+        return np.where(k <= m, self.lead[np.clip(k, 1, m) - 1], out) if m else out
+
+
+def hankel_logdet(c: CoeffSum, sign: int, start: int = 0, stop: float = math.inf) -> LogDet:
+    """log det(I + sign Q H Q) for the Hankel matrix H_{jk} = c_{j+k+1} on
+    the rows and columns start <= j, k < stop (stop may be infinite).
+
+    The rows from f = max(start, m) on take the tail alone: with
+    E_{jq} = e^{-eta_q (j - f)} they are E diag(v) E^T, v = w e^{-eta (2f - m)}.
+    Rows start <= j < m, if any, are kept explicitly, with the block
+    A_{jk} = c_{j+k+1} and the cross term B_{jq} = w_q e^{-eta_q j}.  So
+    H = U [[A, B], [B^T, diag(v)]] U^T with U = diag(I, E), and the
+    determinant is that of the order m - start + r matrix
+    I + sign [[A, B G], [B^T, diag(v) G]], G = E^T E:
+    G_pq = sum_{j<L} e^{-(eta_p + eta_q) j} = expm1(-a L)/expm1(-a),
+    a = eta_p + eta_q, over the L = stop - f tail rows (-1/expm1(-a) at
+    L infinite).  No matrix of the order of the section is formed.
+    """
+    m = len(c.lead)
+    first = max(start, m)
+    if not stop > first:
+        raise DomainError(f"section [{start}, {stop}) ends within the {m} explicit rows")
+    eta, w = c.tail.eta, c.tail.w_pos
+    a = np.add.outer(eta, eta)
+    G = (np.expm1(-a * (stop - first)) if math.isfinite(stop) else -1.0) / np.expm1(-a)
+    M = (w * np.exp(-eta * (2 * first - m)))[:, None] * G
+    if first > start:
+        rows = np.arange(start, m)
+        B = w * np.exp(-np.multiply.outer(rows, eta))
+        M = np.block([[c(np.add.outer(rows, rows) + 1), B @ G], [B.T, M]])
+    return logdet(np.eye(len(M)) + sign * M)

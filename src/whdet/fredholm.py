@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .logdet import LogDet, logdet
+from .logdet import LogDet, check_dense, logdet
 from .params import BetaContext, beta_value, check_sign, working_beta
 from .quadrature import QuadRule, gauss_rule
 from .structured import ln_det_hankel_reg_exact
@@ -130,6 +130,8 @@ def nystrom(spec: KernelSpec, rule: Optional[QuadRule] = None) -> NystromOp:
     if rule.interval[0] < lo - 1e-15 or rule.interval[1] > hi + 1e-15:
         raise DomainError(f"rule interval {rule.interval} outside family interval {(lo, hi)}")
     x = rule.nodes
+    # X, Y, the kernel and its two weighted products; complex for a complex beta
+    check_dense("nystrom", len(x), np.result_type(working_beta(complex(spec.beta))).itemsize, 5)
     X, Y = np.meshgrid(x, x, indexing="ij")
     K = kernel_eval(spec, X, Y)
     sw = np.sqrt(rule.weights)

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor
 
-from .errors import SingularMatrix
+from .errors import DomainError, SingularMatrix
 
 _PIVOT_FLOOR = 1e-300
+#: most bytes the square matrices of one dense route may take together
+_MAX_DENSE_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,16 @@ def rel_exp_diff(a: LogDet, b: LogDet) -> float:
     """|exp(a - b) - 1|: relative difference of the determinants."""
     d = a.log - b.log
     return abs(np.exp(d) - 1.0)
+
+
+def check_dense(what: str, order: int, itemsize: int, copies: int) -> None:
+    """Raise DomainError, before anything is allocated, when ``copies``
+    square matrices of ``order`` and ``itemsize`` bytes per entry would take
+    more than _MAX_DENSE_BYTES."""
+    nbytes = copies * order * order * itemsize
+    if nbytes > _MAX_DENSE_BYTES:
+        raise DomainError(f"{what} of order {order} needs about {nbytes / 2**30:.1f} GiB"
+                          f" > {_MAX_DENSE_BYTES / 2**30:g} GiB")
 
 
 def logdet(matrix) -> LogDet:

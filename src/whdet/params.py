@@ -14,11 +14,12 @@ CONTINUOUS_PLUS   (-1/2, 3/2)         CONTINUOUS_PLUS, hankel_section_inverse_de
 CONTINUOUS_MINUS  (-1, 1/2)           CONTINUOUS_MINUS, CBETA, ln_c_beta
 KERNEL_FAMILY     (-1, 1)             cut_kernel (so every cut route),
                                       factor_product_logdet, KernelSpec
+HANKEL_REG        Re b > -1           fredholm_det_hankel_reg (its cut integral)
 DISCRETE_PLUS     b off -1/2, -3/2..  DISCRETE_PLUS, d_n_exact with sign +1
 DISCRETE_MINUS    b off -3/2, -5/2..  DISCRETE_MINUS, d_n_exact with sign -1
 FINITE            any finite b        CircleSymbol, the other LineSymbol kinds,
                                       fourier_coeff_u, det_tn_exact,
-                                      ln_det_hankel_reg_exact, fredholm_det_hankel_reg
+                                      ln_det_hankel_reg_exact
 
 ``BetaParam`` ties a value to the strip it was validated against, and
 ``working_beta`` picks the arithmetic of every dense route from it.
@@ -46,6 +47,7 @@ class BetaContext(Enum):
     KERNEL_FAMILY = "kernel"
     MATRIX = "matrix"
     SECH = "sech"
+    HANKEL_REG = "hankel_reg"
     FINITE = "finite"
 
 
@@ -56,6 +58,7 @@ _STRIPS = {
     BetaContext.KERNEL_FAMILY: (-1.0, 1.0),
     BetaContext.MATRIX: (-0.5, math.inf),
     BetaContext.SECH: (-1.5, 0.5),
+    BetaContext.HANKEL_REG: (-1.0, math.inf),
     BetaContext.FINITE: (-math.inf, math.inf),
 }
 #: real points excluded from the plane: start, start - 1, start - 2, ...

@@ -2,9 +2,12 @@
 Barnes-G closed forms they must reproduce.
 
 The determinants of T_n(v) +- H_n(v) admit finite-n products of Barnes
-G-values; the infinite-Hankel finite sections give the same numbers
-through a completely different route, which is what most of the tests
-exploit.
+G-values; the blocks of the inverse of an infinite Hankel operator give
+the same numbers through a completely different route, which is what
+most of the tests exploit.  ``d_n`` is a dense LU; the Hankel operators
+of u_b and u_{b,r} are never formed: their coefficients are exponential
+sums, and every section of them is an r x r determinant
+(``expsum.hankel_logdet``) at any truncation, infinity included.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceWarning, DomainError
-from .logdet import LogDet, logdet
+from .expsum import hankel_logdet
+from .logdet import LogDet, check_dense, logdet
 from .params import BetaContext, beta_value, check_sign
 from .specfun import ln_barnes_g
-from .symbols import CircleKind, CircleSymbol, reg_coeff_table, u_coeff_array, v_coeff_array
+from .symbols import CircleKind, CircleSymbol, jump_coeff_sum, v_coeff_array
 
 LN_2PI = math.log(2.0 * math.pi)
 LN_2 = math.log(2.0)
@@ -57,6 +61,8 @@ def d_n(beta, n: int, sign: int) -> LogDet:
     if n < 1:
         raise DomainError("n must be positive")
     c = _v_coeff_array(b, n)
+    # T_n, H_n and the LU's copy of their sum
+    check_dense("d_n", n, c.itemsize, 3)
     off = 2 * n - 1  # c[off + k] is the coefficient k
     A = scipy.linalg.toeplitz(c[off:off + n], c[off::-1][:n])       # c_{j-k}
     A += sign * scipy.linalg.hankel(c[off + 1:off + n + 1], c[off + n:])  # c_{j+k+1}
@@ -113,18 +119,36 @@ def det_tn_exact(beta, n: int) -> LogDet:
     return LogDet.from_log(ln)
 
 
+#: ratio of the fine to the coarse truncation of hankel_section_inverse_det
+SECTION_RATIO = 16
+
+
 @dataclass(frozen=True)
 class RefinedLogDet:
-    """A truncated computation at N and 2N with its 1/N Richardson limit."""
+    """A truncated computation at N and SECTION_RATIO N, and its Richardson
+    limit for an error of order N^{-exponent}."""
 
-    value: LogDet          # extrapolated
-    at_n: LogDet
-    at_2n: LogDet
+    coarse: LogDet         # at N
+    fine: LogDet           # at SECTION_RATIO N
+    exponent: float
+
+    @property
+    def change(self) -> complex:
+        """fine - coarse (log scale), its argument taken modulo 2 pi: a
+        LogDet accumulates its argument rather than reducing it."""
+        d = self.fine - self.coarse
+        return complex(d.ln_abs, math.remainder(d.arg, 2.0 * math.pi))
 
     @property
     def refinement(self) -> float:
-        """Magnitude of the N -> 2N change (log scale)."""
-        return abs(self.at_2n.log - self.at_n.log)
+        """Magnitude of the coarse -> fine change."""
+        return abs(self.change)
+
+    @property
+    def value(self) -> LogDet:
+        """The extrapolated limit (q v_fine - v_coarse)/(q - 1),
+        q = SECTION_RATIO^exponent."""
+        return LogDet.from_log(self.fine.log + self.change / (SECTION_RATIO**self.exponent - 1.0))
 
 
 def hankel_section_inverse_det(
@@ -132,11 +156,16 @@ def hankel_section_inverse_det(
 ) -> RefinedLogDet:
     """log det of the n x n upper-left block of (I +- H(u_{-beta}))^{-1}.
 
-    The infinite Hankel operator is truncated at N and 2N and the two
-    values are Richardson-extrapolated in 1/N.  Pairing and sign follow
-    the displayed identities relating this block determinant to the
-    Toeplitz+-Hankel determinants: sign=+ reads beta on the
-    CONTINUOUS_PLUS strip, sign=- on the SECH strip.
+    The block of the truncation H_N is det(I +- Q_n H_N Q_n)/det(I +- H_N)
+    (``fredholm.quotient_identity``), Q_n dropping the first n rows and
+    columns; both are r x r determinants on the exponential sum of the
+    coefficients (``symbols.jump_coeff_sum``, ``expsum.hankel_logdet``),
+    whatever N.  The values v at N and 16N are extrapolated as
+    (16^p v_16N - v_N)/(16^p - 1) with p = 1 + 2 sign Re beta, the
+    exponent of the N^{-p} error of the truncation (positive on both
+    strips).  Pairing and sign follow the displayed identities relating
+    this block determinant to the Toeplitz+-Hankel determinants: sign=+
+    reads beta on the CONTINUOUS_PLUS strip, sign=- on the SECH strip.
     """
     check_sign(sign)
     b = beta_value(beta, BetaContext.CONTINUOUS_PLUS if sign > 0 else BetaContext.SECH)
@@ -144,22 +173,19 @@ def hankel_section_inverse_det(
         N = max(512, 8 * n)
     if N < 4 * n:
         raise DomainError("truncation N must be at least 4n")
+    coeffs = jump_coeff_sum(CircleSymbol(CircleKind.UBETA, beta=-b), 2 * SECTION_RATIO * N)
 
     def block_logdet(m: int) -> LogDet:
-        co = u_coeff_array(-b, np.arange(1, 2 * m))  # k = 1 .. 2m-1
-        A = np.eye(m, dtype=co.dtype) + sign * scipy.linalg.hankel(co[:m], co[m - 1:])
-        X = np.linalg.solve(A, np.eye(m, dtype=co.dtype)[:, :n])
-        return logdet(X[:n, :])
+        return hankel_logdet(coeffs, sign, n, m) - hankel_logdet(coeffs, sign, 0, m)
 
-    v1 = block_logdet(N)
-    v2 = block_logdet(2 * N)
-    extrap = LogDet.from_log(2.0 * v2.log - v1.log)
-    if abs(v2.log - v1.log) > tol:
+    refined = RefinedLogDet(block_logdet(N), block_logdet(SECTION_RATIO * N),
+                            1.0 + 2.0 * sign * b.real)
+    if refined.refinement > tol:
         warnings.warn(
-            f"N={N}->2N changed logdet by {abs(v2.log - v1.log):.2e} (tol {tol:g})",
+            f"N={N}->{SECTION_RATIO}N changed logdet by {refined.refinement:.2e} (tol {tol:g})",
             ConvergenceWarning,
         )
-    return RefinedLogDet(extrap, v1, v2)
+    return refined
 
 
 def ln_det_hankel_reg_exact(beta, r: float, sign: int) -> complex:
@@ -174,22 +200,17 @@ def ln_det_hankel_reg_exact(beta, r: float, sign: int) -> complex:
     return sign * b / 2 * math.log((1 - r) / (1 + r)) + b * b / 2 * math.log(1 - r * r)
 
 
-def fredholm_det_hankel_reg(beta, r: float, sign: int, N: int | None = None) -> LogDet:
-    """log det(I +- H(u_{beta,r})) by an N x N section.
+def fredholm_det_hankel_reg(beta, r: float, sign: int) -> LogDet:
+    """log det(I +- H(u_{beta,r})) of the whole infinite Hankel matrix.
 
-    Entries decay like r^{j+k}, so the truncation error is certified by a
-    geometric tail bound; N defaults to the length at which the dropped
-    entries fall below 1e-16.
+    Its coefficients are an exponential sum (``symbols.jump_coeff_sum``),
+    so the determinant is an r x r one (``expsum.hankel_logdet``) with no
+    truncation; it needs Re beta > -1.
     """
-    b = beta_value(beta, BetaContext.FINITE)
+    b = beta_value(beta, BetaContext.HANKEL_REG)
     check_sign(sign)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"need 0 <= r < 1, got {r}")
     if r == 0.0:
         return LogDet(0.0, 0.0)
-    if N is None:
-        N = max(64, int(np.ceil(20.0 / max(-math.log(r), 1e-12))))
-    sym = CircleSymbol(CircleKind.UBETA_R, beta=b, r=r)
-    co = reg_coeff_table(sym, 2 * N)[2 * N :]  # k = 0 .. 2N
-    H = scipy.linalg.hankel(co[1:N + 1], co[N:2 * N])  # c_{j+k+1}
-    return logdet(np.eye(N, dtype=H.dtype) + sign * H)
+    return hankel_logdet(jump_coeff_sum(CircleSymbol(CircleKind.UBETA_R, beta=b, r=r)), sign)

@@ -4,7 +4,10 @@ Circle symbols generate Toeplitz/Hankel matrices through their Fourier
 coefficients; line symbols generate truncated convolution operators
 through the Fourier transform of (symbol - 1).  The singular symbols get
 closed-form coefficients; the regularized ones get theirs from one FFT of
-the sampled symbol; a quadrature oracle backs both.
+the sampled symbol; a quadrature oracle backs both.  The jump symbols u_b
+and u_{b,r} also have their coefficients k >= 1 as exponential sums in k
+(``jump_coeff_sum``), from which every Hankel section is an r x r
+determinant.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from scipy.integrate import quad
 from scipy.special import loggamma, roots_jacobi
 
 from .errors import DomainError, QuadFailure, SingularPointError
-from .expsum import ExpSum, fit_even
+from .expsum import CoeffSum, ExpSum, fit_even
 from .params import BetaContext, beta_value, is_near_nonpositive_integer, working_beta
 
 
@@ -203,7 +206,16 @@ def u_coeff_array(b: complex, k) -> np.ndarray:
         out = np.zeros(k.shape, dtype=np.result_type(bw))
         out[k == m] = (-1.0) ** (m % 2)
         return out
-    return np.sin(np.pi * bw) / (np.pi * (bw - k))
+    return _sin_pi(bw) / (np.pi * (bw - k))
+
+
+def _sin_pi(b):
+    """sin(pi b) to full relative accuracy near the integers too, as
+    (-1)^n sin(pi (b - n)) with n the integer nearest Re b (b - n is exact);
+    np.sin(np.pi * b) is off by about 4e-16 absolute there, which is 7e-10
+    relative at b = -1 + 1.8e-7."""
+    n = round(np.real(b))
+    return (-1.0) ** (n % 2) * np.sin(np.pi * (b - n))
 
 
 def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
@@ -232,6 +244,78 @@ def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
     if real:
         c = c.real
     return np.concatenate([c[M - kmax:], c[: kmax + 1]])
+
+
+def jump_coeff_sum(s: CircleSymbol, kmax: Optional[int] = None) -> CoeffSum:
+    """The coefficients k >= 1 of u_b (UBETA, for k <= kmax) or of u_{b,r}
+    (UBETA_R, every k) as explicit leading ones and an exponential sum.
+
+    Deforming the coefficient integral onto the cut [1/r, inf) of
+    (1 - r t)^b, t = e^d / r, gives for both kinds (r = 1 for u_b)
+    c_k = -(sin pi b / pi) r^k int_0^inf e^{-d (k - b)} rho(d) d^e dd,
+    rho = ((1 - e^{-d})/d)^b (1 - r^2 e^{-d})^{-b} and e = b for r < 1;
+    rho = 1 and e = 0 for r = 1.  It converges for Re b > -1 when r < 1,
+    and for every k with Re(k - b) >= 1/2, at the rate e^{-d/2} or faster.
+    The m coefficients below that rate are kept explicitly: sin(pi b)/
+    (pi (b - k)) for u_b, the Cauchy product of the binomial series for
+    u_{b,r}.  ``_graded`` discretizes the rest with 16 nodes on each octave
+    of d, from a stub where every term is smooth (d K <= 1/10 for the
+    K = kmax or 40/(-ln r) coefficients that matter; r^K = e^{-40}) up to
+    where e^{-d/2} falls below e^{-40}, and ``ExpSum.compress`` keeps the
+    exponentials eta = d - ln r that matter.
+    """
+    if s.kind not in (CircleKind.UBETA, CircleKind.UBETA_R):
+        raise DomainError(f"no coefficient sum for symbol kind {s.kind}")
+    b = working_beta(complex(s.beta))
+    r = 1.0 if s.kind is CircleKind.UBETA else s.r
+    if r == 1.0 and kmax is None:
+        raise DomainError("the sum for u_b needs the largest index kmax")
+    m = max(0, math.ceil(np.real(b) + 0.5) - 1)
+    if r < 1.0 and np.real(b) <= -1.0:
+        raise DomainError(f"u_(b,r) coefficient sum needs Re b > -1, got b={b}")
+    reach = kmax if r == 1.0 else 40.0 / -math.log(r)
+    e = b if r < 1.0 else 0.0
+    octaves = math.ceil(math.log2(800.0 * reach))
+    d, W = _graded(0.1 / reach * 2.0 ** np.arange(octaves + 1), e, nodes=16)
+    f = np.exp(-d * (m + 1 - b))
+    if r < 1.0:
+        f = f * _pow(-np.expm1(-d) / d, b) * _pow(-np.expm1(2.0 * math.log(r) - d), -b)
+    w = -_sin_pi(b) / np.pi * r ** (m + 1) * W * f
+    lead = u_coeff_array(b, np.arange(1, m + 1)) if r == 1.0 else _binomial_coeffs(b, r, m)
+    return CoeffSum(lead, _compress_bands(d - math.log(r), w))
+
+
+#: exponents per band of _compress_bands: ten octaves of jump_coeff_sum's rule
+BAND = 160
+
+
+def _compress_bands(eta, w) -> ExpSum:
+    """The even sum sum_q w_q e^{-eta_q u} compressed one band of BAND
+    consecutive exponents at a time.  ``ExpSum.compress`` errs by about
+    1e-16 of the largest value it fits; apart, the slowest exponentials,
+    which alone carry the coefficients far out, keep that accuracy
+    relative to their own size.  Compressed in one piece, the sum of u_b
+    for kmax = 2^31 erred by 3e-8 relative at k = 2^31, and that capped
+    the inverse section at N = 2^26 at 1e-6."""
+    order = np.argsort(eta)
+    bands = [ExpSum(eta[i], w[i], w[i]).compress()
+             for i in np.array_split(order, -(-len(eta) // BAND))]
+    w = np.concatenate([k.w_pos for k in bands])
+    return ExpSum(np.concatenate([k.eta for k in bands]), w, w,
+                  err=max(k.err for k in bands))
+
+
+def _binomial_coeffs(b, r: float, m: int) -> np.ndarray:
+    """Coefficients k = 1..m of u_{b,r} = (1 - r t)^b (1 - r/t)^{-b} by the Cauchy
+    product sum_l alpha_{k+l} beta_l of the binomial series, alpha_i =
+    binom(b, i) (-r)^i and beta_l = binom(-b, l) (-r)^l, to the l where
+    r^{2l} l^{2|b|} falls below e^{-40}."""
+    L = int(math.ceil((40.0 + 2.0 * abs(b) * math.log(1.0 + 40.0 / -math.log(r)))
+                      / -math.log(r))) + m + 1
+    i = np.arange(L)
+    alpha = np.cumprod(np.concatenate([[1.0], -r * (b - i[:-1]) / (i[:-1] + 1)]))
+    beta = np.cumprod(np.concatenate([[1.0], r * (b + i[:-1]) / (i[:-1] + 1)]))
+    return np.array([alpha[k:] @ beta[:L - k] for k in range(1, m + 1)])
 
 
 def fourier_coeff_regularized(s: CircleSymbol, k: int) -> complex:
@@ -301,22 +385,30 @@ def cut_rule(eps: float, b) -> tuple[np.ndarray, np.ndarray]:
     directly, never as 1 - eta.
     """
     length = 1.0 - eps
-    xg, wg = leggauss(12)
     eps_levels = max(40, int(np.ceil(-np.log2(max(eps, 1e-14)))) + 28)
     etas, weights = [], []
     # each end: its levels, the exponent of d there, the end and the direction inward
     for levels, expo, end, inward in ((eps_levels, b, eps, 1.0), (24, -b, 1.0, -1.0)):
-        bounds = length * 0.5 * 2.0 ** -np.arange(levels)
-        half = 0.5 * (bounds[:-1] - bounds[1:])
-        d = np.ravel(half[:, None] * xg + 0.5 * (bounds[:-1] + bounds[1:])[:, None])
-        w = np.ravel(half[:, None] * wg) * _pow(d, expo)
-        delta = bounds[-1]
-        xj, _ = roots_jacobi(12, 0.0, float(np.real(expo)))
-        d = np.concatenate([d, 0.5 * delta * (1.0 + xj)])
-        w = np.concatenate([w, _pow(delta, 1.0 + expo) * _stub_weights(xj, expo)])
+        d, w = _graded(length * 0.5 * 2.0 ** -np.arange(levels), expo)
         etas.append(end + inward * d)
         weights.append(w * _pow(length - d, -expo))   # the other end's factor
     return np.concatenate(etas), np.concatenate(weights)
+
+
+def _graded(bounds, e, nodes: int = 12):
+    """Nodes d and weights W with sum_j W_j f(d_j) ~ int_0^B f(d) d^e dd for
+    f smooth on [0, B], B = max(bounds): ``nodes`` Gauss-Legendre nodes on
+    each panel between consecutive ``bounds`` (monotone, geometric toward
+    0), and as many on the stub [0, delta], delta = min(bounds), by product
+    integration against d^e (see ``cut_rule``)."""
+    xg, wg = leggauss(nodes)
+    half = 0.5 * np.abs(np.diff(bounds))
+    d = np.ravel(half[:, None] * xg + 0.5 * (bounds[:-1] + bounds[1:])[:, None])
+    w = np.ravel(half[:, None] * wg) * _pow(d, e)
+    delta = min(bounds[0], bounds[-1])
+    xj, _ = roots_jacobi(nodes, 0.0, float(np.real(e)))
+    d = np.concatenate([d, 0.5 * delta * (1.0 + xj)])
+    return d, np.concatenate([w, _pow(delta, 1.0 + e) * _stub_weights(xj, e)])
 
 
 def _stub_weights(x, e):

@@ -1,4 +1,4 @@
-"""Dense N x N oracles for the Wiener-Hopf routes.
+"""Dense N x N oracles for the Wiener-Hopf routes and the Hankel sections.
 
 The library takes every Wiener-Hopf determinant from a compressed
 exponential sum through the quasiseparable recurrence of
@@ -7,13 +7,29 @@ instead, from the uncompressed branch-cut sum (``raw_cut_kernel``) or the
 closed-form sech kernel, and factor it with a dense LU; so they check the
 compression and the recurrence together.  They form e^{+eta x}, so keep
 R (and N, for time and memory) small: R <= 600, N <= 4000.
+
+The library takes every Hankel section from the exponential sum of its
+coefficients as an r x r determinant; the oracles here build the N x N
+section from the closed-form coefficients of u_b or the FFT table of
+u_{b,r} and factor or solve it densely.  Keep N <= 2048.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from whdet import ExpSum, LineKind, cut_kernel, cut_rule, logdet
+from whdet import (
+    CircleKind,
+    CircleSymbol,
+    ExpSum,
+    LineKind,
+    cut_kernel,
+    cut_rule,
+    logdet,
+    reg_coeff_table,
+)
 from whdet.params import working_beta
+from whdet.symbols import u_coeff_array
 
 
 def raw_cut_kernel(symbol) -> ExpSum:
@@ -82,3 +98,28 @@ def dense_factor_product(beta, eps, R, rule):
     K = _cut_blocks(ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)), xs, 0)
     A = np.exp(-np.multiply.outer(eta, R - xs))
     return logdet(_with_identity(K - A.T @ G @ A, rule))
+
+
+def dense_hankel(coeffs, start, stop):
+    """I + H for H_{jk} = coeffs[j + k + 1], start <= j, k < stop; coeffs[0]
+    is not read."""
+    H = scipy.linalg.hankel(coeffs[2 * start + 1:start + stop + 1], coeffs[start + stop:2 * stop])
+    return np.eye(stop - start, dtype=H.dtype) + H
+
+
+def reg_coeffs(beta, r, kmax):
+    """The coefficients k = 0..kmax of u_{b,r} from the FFT table."""
+    return reg_coeff_table(CircleSymbol(CircleKind.UBETA_R, beta=beta, r=r), kmax)[kmax:]
+
+
+def jump_coeffs(beta, kmax):
+    """The coefficients k = 0..kmax of u_b in closed form."""
+    return u_coeff_array(complex(beta), np.arange(kmax + 1))
+
+
+def dense_section_inverse(beta, n, sign, N):
+    """log det of the n x n block of (I +- H_N(u_{-beta}))^{-1} by a dense
+    solve."""
+    A = dense_hankel(sign * jump_coeffs(-beta, 2 * N), 0, N)
+    X = np.linalg.solve(A, np.eye(N, dtype=A.dtype)[:, :n])
+    return logdet(X[:n, :])

@@ -7,8 +7,17 @@ import warnings
 
 import pytest
 
-from whdet import LineKind, LineSymbol, TruncatedWH, det_wr_pm_hr, wh_rule
-from whdet.cli import CHECK_HEADER, CONTINUOUS_HEADER, CSV_HEADER, main, parse_config
+from whdet import (
+    LineKind,
+    LineSymbol,
+    TruncatedWH,
+    d_n,
+    d_n_exact,
+    det_wr_pm_hr,
+    rel_exp_diff,
+    wh_rule,
+)
+from whdet.cli import CHECK_HEADER, CONTINUOUS_HEADER, DISCRETE_HEADER, main, parse_config
 from whdet.errors import ConvergenceWarning, SingularMatrix
 
 
@@ -94,11 +103,21 @@ class TestSweeps:
                    "--n-range", "64:512:64", "--out", str(out)])
         assert rc == 0
         rows = read_csv(out)
-        assert list(rows[0].keys()) == CSV_HEADER
+        assert list(rows[0].keys()) == DISCRETE_HEADER
         devs = [float(r["deviation"]) for r in rows]
         half = len(devs) // 2  # one block per sign
         for block in (devs[:half], devs[half:]):
             assert all(a > b for a, b in zip(block[:-1], block[1:]))
+
+    def test_discrete_error_column(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(["--command", "sweep-discrete", "--beta-re", "0.3", "--beta-im", "0.1",
+                     "--n-range", "8:24:8", "--out", str(out), "--format", "json"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        want = [rel_exp_diff(d_n(0.3 + 0.1j, n, sign), d_n_exact(0.3 + 0.1j, n, sign))
+                for sign in (+1, -1) for n in (8, 16, 24)]
+        assert [row["error"] for row in rows] == want
+        assert all(0.0 < e < 1e-8 for e in want)
 
     def test_sech_lab(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -24,6 +24,7 @@ from whdet import (
     quotient_identity,
     rel_exp_diff,
 )
+from whdet.logdet import _MAX_DENSE_BYTES, check_dense
 
 
 class TestGaussRule:
@@ -145,6 +146,24 @@ class TestNystrom:
         a = fredholm_logdet(op, -1)
         b = logdet(np.eye(len(perm), dtype=m.dtype) - m)
         assert abs(a.log - b.log) < 1e-12
+
+
+class TestDenseCap:
+    @pytest.mark.parametrize("beta, itemsize", [(0.3, 8), (0.3 + 0.1j, 16)])
+    def test_nystrom_over_cap_raises_before_assembly(self, beta, itemsize, monkeypatch):
+        # the smallest order whose X, Y, kernel and two weighted products
+        # (5 N^2 entries) pass the cap; the rule itself is O(N)
+        N = math.isqrt(_MAX_DENSE_BYTES // (5 * itemsize)) + 1
+        check_dense("nystrom", N - 1, itemsize, 5)
+        rule = gauss_rule(2, (0.0, 1.0), grading=("uniform", -(-N // 2)))
+        assert N <= len(rule) <= N + 1
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an allocation over the dense cap was reached")
+
+        monkeypatch.setattr(np, "meshgrid", unreachable)
+        with pytest.raises(DomainError, match="nystrom of order"):
+            nystrom(KernelSpec(KernelFamily.K0, beta=beta), rule)
 
 
 class TestFredholmLogdet:

@@ -147,6 +147,7 @@ SECH_EDGES = (-1.5, 0.5)
 PLUS_EDGES = (-0.5, 1.5)
 MINUS_EDGES = (-1.0, 0.5)
 KERNEL_EDGES = (-1.0, 1.0)
+HANKEL_REG_EDGES = (-1.0, float("inf"))
 FINITE_EDGES = (float("inf"), complex(0.0, float("-inf")))
 
 # every entry point that reads beta: (call at small sizes, the edges of its
@@ -190,7 +191,7 @@ STRIP_TABLE = {
     "ln_det_hankel_reg_exact":
         (lambda b: ln_det_hankel_reg_exact(b, 0.5, -1), FINITE_EDGES, 2.7),
     "fredholm_det_hankel_reg":
-        (lambda b: fredholm_det_hankel_reg(b, 0.5, +1), FINITE_EDGES, 0.3),
+        (lambda b: fredholm_det_hankel_reg(b, 0.5, +1), HANKEL_REG_EDGES, 2.7),
     "reg_coeff_table": (lambda b: reg_coeff_table(
         CircleSymbol(CircleKind.VBETA_R, beta=b, r=0.5), 4), FINITE_EDGES, 2.7),
 }
@@ -208,6 +209,7 @@ def test_strip_table(name, monkeypatch):
     monkeypatch.setattr(wienerhopf, "expsum_logdet", _unreachable)
     monkeypatch.setattr(expsum, "lu_logdet", _unreachable)
     monkeypatch.setattr(structured, "logdet", _unreachable)
+    monkeypatch.setattr(expsum, "logdet", _unreachable)
     for bad in (float("nan"), complex(0.3, float("nan")), *edges):
         with pytest.raises(DomainError):
             call(bad)

@@ -81,7 +81,7 @@ ROUTES = {
     "fredholm_det_hankel_reg": (BetaContext.KERNEL_FAMILY,
                                 lambda b: fredholm_det_hankel_reg(b, 0.6, +1)),
     "hankel_section_inverse_det": (
-        BetaContext.SECH, lambda b: hankel_section_inverse_det(b, 2, -1, N=16, tol=np.inf).at_n),
+        BetaContext.SECH, lambda b: hankel_section_inverse_det(b, 2, -1, N=16, tol=np.inf).coarse),
 }
 #: distance from the strip edge of the 1e-12 agreement draws.  As b -> -1/2,
 #: T_n + H_n(v_b) nears rank one (c_0 ~ 1/(1+2b)).  The two routes' coefficients
@@ -111,7 +111,7 @@ def _record_dtypes(mp, seen):
             return factor(matrix)
         return recording
 
-    for module in (structured, fredholm):
+    for module in (structured, fredholm, expsum):
         mp.setattr(module, "logdet", recorder(logdet))
     # the Wiener-Hopf routes factor one panel at a time
     mp.setattr(expsum, "lu_logdet", recorder(lu_logdet))

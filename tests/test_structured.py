@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from mpmath import mp
 from scipy.special import loggamma
 
@@ -27,6 +28,7 @@ from whdet import (
     rel_exp_diff,
     toeplitz,
 )
+from whdet.logdet import _MAX_DENSE_BYTES, check_dense
 from whdet.params import is_near_nonpositive_integer
 from whdet.structured import _v_coeff_array
 from whdet.symbols import u_coeff_array, v_coeff_array
@@ -325,3 +327,19 @@ class TestHankelRegularized:
         want = math.log((0.2 / 1.8) ** 0.15 * 0.36**0.045)
         got = fredholm_det_hankel_reg(0.3, 0.8, +1)
         assert abs(got.ln_abs - want) < 1e-8
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("an allocation over the dense cap was reached")
+
+
+class TestDenseCap:
+    @pytest.mark.parametrize("beta, itemsize", [(0.3, 8), (0.3 + 0.1j, 16)])
+    def test_d_n_over_cap_raises_before_assembly(self, beta, itemsize, monkeypatch):
+        # the smallest n whose T_n, H_n and LU copy (3 n^2 entries) pass the cap
+        n = math.isqrt(_MAX_DENSE_BYTES // (3 * itemsize)) + 1
+        check_dense("d_n", n - 1, itemsize, 3)
+        monkeypatch.setattr(scipy.linalg, "toeplitz", _unreachable)
+        monkeypatch.setattr(scipy.linalg, "hankel", _unreachable)
+        with pytest.raises(DomainError, match="d_n of order"):
+            d_n(beta, n, +1)

@@ -238,8 +238,10 @@ def ft_kernel_vhat_eps(beta, eps, x):
         v, _ = quad(f, lo, hi, weight="cos", wvar=x, limit=400,
                     epsabs=1e-13, epsrel=1e-12)
         total += v
-    si, _ = sici(M * x)
-    total += beta * (eps * eps - 1.0) * (np.cos(M * x) / M - x * (np.pi / 2 - si))
+    # int_M^inf cos(xi x)/xi^2 d xi = cos(M x)/M - |x| (pi/2 - Si(M |x|))
+    ax = abs(x)
+    si, _ = sici(M * ax)
+    total += beta * (eps * eps - 1.0) * (np.cos(M * ax) / M - ax * (np.pi / 2 - si))
     return total / np.pi
 
 
@@ -336,6 +338,14 @@ class TestKernelLine:
         uhat = LineSymbol(LineKind.UHAT_EPS, beta=b, eps=0.1)
         for x in (0.5, -0.5, 2.0):
             assert abs(kernel_line(uhat, x) - ft_kernel_uhat_eps(b, 0.1, x)) < 1e-7
+
+    @pytest.mark.parametrize("b", [0.6, 0.8])
+    def test_vhat_eps_oracle_is_even(self, b):
+        # the 1/xi^2 tail of the oracle needs |x|: with x it was 0.30 off at
+        # b = 0.6, x = -0.5 (0.40 at b = 0.8)
+        s = LineSymbol(LineKind.VHAT_EPS, beta=b, eps=0.1)
+        for x in (0.5, -0.5):
+            assert abs(ft_kernel_vhat_eps(b, 0.1, x) - kernel_line(s, 0.5)) < 1e-7
 
     @pytest.mark.parametrize("kind, b, x", [(LineKind.VHAT_EPS, 0.95, 0.5),
                                             (LineKind.UHAT_EPS, -0.9, -0.5),
