@@ -10,8 +10,8 @@ reflections, the discretized identity is exact to rounding.
 import numpy as np
 
 from whdet import (
-    AsymKind, AsymptoteSpec, LineKind, LineSymbol, TruncatedWH, asymptote_log,
-    det_w2r, det_wr_pm_hr, reflected_union_rule, wh_rule,
+    AsymKind, AsymptoteSpec, LineKind, LineSymbol, RefinedLogDet, TruncatedWH,
+    asymptote_log, det_w2r, det_wr_pm_hr, reflected_union_rule, wh_rule,
 )
 
 beta, eps = 0.3, 1e-4
@@ -30,10 +30,10 @@ print("\nlarge-R behavior vs the zero/pole asymptotics")
 print("(one Richardson step in h, panels p = 2R and 2p, for the O(h^2) kink):")
 spec = AsymptoteSpec(AsymKind.CONTINUOUS_PLUS, beta)
 for R in (20.0, 40.0, 60.0):
-    p = wh_rule(R).grading[1]
-    ld_p, ld_2p = (det_wr_pm_hr(TruncatedWH(sym, R, wh_rule(R, panels=q), +1)).log
+    p = len(wh_rule(R)) // 16  # wh_rule's default: 16 nodes per panel
+    ld_p, ld_2p = (det_wr_pm_hr(TruncatedWH(sym, R, wh_rule(R, panels=q), +1))
                    for q in (p, 2 * p))
-    ld = ld_2p + (ld_2p - ld_p) / 3.0
+    ld = RefinedLogDet(ld_p, ld_2p, ratio=2, exponent=2).value.log
     a = asymptote_log(spec, R)
     print(f"  R={R:>4.0f}: logdet {ld.real:+10.4f}, asymptote {a.real:+10.4f}, "
           f"|ratio-1| = {abs(np.exp(ld - a) - 1):.3e}")

@@ -17,7 +17,6 @@ from .errors import (
     ConvergenceWarning,
     DomainError,
     PoleError,
-    QuadFailure,
     SingularMatrix,
     SingularPointError,
     WhdetError,
@@ -64,12 +63,9 @@ from .symbols import (
     cut_rule,
     eval_circle,
     eval_line,
-    fourier_coeff_numeric,
-    fourier_coeff_regularized,
     fourier_coeff_u,
     fourier_coeff_v,
     jump_coeff_sum,
-    kernel_line,
     reg_coeff_table,
     sech_kernel,
 )

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -30,6 +29,7 @@ from .asymptotics import AsymKind, AsymptoteSpec, asymptote_log
 from .errors import DomainError, WhdetError
 from .logdet import LogDet, rel_exp_diff
 from .params import BetaContext, check_beta
+from .structured import RefinedLogDet
 
 CSV_HEADER = [
     "scale",
@@ -229,20 +229,16 @@ def run_verify(cfg: RunConfig):
     return records, [c for c in records if not c["measured"] <= c["tol"]]
 
 
-def _wh_logdet(cfg: RunConfig, b: complex, sign: int, R: float):
+def _wh_logdet(cfg: RunConfig, b: complex, sign: int, R: float) -> RefinedLogDet:
     """det(W_R +- H_R) at panels p and 2p (p from --panels or wh_rule's
-    default) with one Richardson step in h, and the size of the p -> 2p
-    change: the O(h^2) error of the diagonal kink is as large as the
-    asymptotic deviation itself.  The change is taken modulo 2 pi in its
-    argument, which a LogDet accumulates rather than reduces."""
+    default) with one Richardson step in h: the O(h^2) error of the
+    diagonal kink is as large as the asymptotic deviation itself."""
     sym = symbols.LineSymbol(symbols.LineKind.VHAT_EPS, beta=b, eps=cfg.eps)
     coarse = wienerhopf.wh_rule(R, panels=cfg.panels, nodes=cfg.nodes)
-    fine = wienerhopf.wh_rule(R, panels=2 * coarse.grading[1], nodes=cfg.nodes)
+    fine = wienerhopf.wh_rule(R, panels=2 * (len(coarse) // cfg.nodes), nodes=cfg.nodes)
     ld_p, ld_2p = (wienerhopf.det_wr_pm_hr(wienerhopf.TruncatedWH(sym, R, rule, sign))
                    for rule in (coarse, fine))
-    change = ld_2p - ld_p
-    change = complex(change.ln_abs, math.remainder(change.arg, 2.0 * math.pi))
-    return LogDet.from_log(ld_2p.log + change / 3.0), abs(change)
+    return RefinedLogDet(ld_p, ld_2p, ratio=2, exponent=2)
 
 
 def _sweep_rows(cfg: RunConfig):
@@ -263,8 +259,8 @@ def _sweep_rows(cfg: RunConfig):
             for s in scales:
                 asym = asymptote_log(spec, float(s))
                 if continuous:
-                    ld, refinement = _wh_logdet(cfg, b, sign, s)
-                    rows.append({**_row(float(s), ld, asym), "refinement": refinement})
+                    ld = _wh_logdet(cfg, b, sign, s)
+                    rows.append({**_row(float(s), ld.value, asym), "refinement": ld.refinement})
                 else:
                     ld = structured.d_n(b, s, sign)
                     rows.append({**_row(float(s), ld, asym),

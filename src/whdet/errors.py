@@ -25,10 +25,6 @@ class SingularPointError(WhdetError):
     """Symbol evaluated at its singular point."""
 
 
-class QuadFailure(WhdetError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class SingularMatrix(WhdetError):
     """Determinant or solve hit a (numerically) singular matrix."""
 

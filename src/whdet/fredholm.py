@@ -27,7 +27,6 @@ class KernelFamily(Enum):
     KHAT_R = "khat_r"      # ... * ((1-x)(1-y)/((1+x)(1+y)))^{-b/2} e^{-2Rx}    on [0,1]
     KEPS_N = "keps_n"      # regularized, on [eps,1]
     KHAT_EPS_R = "khat_eps_r"  # regularized, on [eps,1]
-    H0 = "h0"              # -(sin pi b)/pi * 1/(x+y)                 on [1,inf)
     HBETA = "hbeta"        # ... * ((x-1)(y-1)/((x+1)(y+1)))^{b/2}    on [1,inf)
 
 
@@ -55,7 +54,7 @@ class KernelSpec:
     def interval(self) -> Tuple[float, float]:
         if self.family in (KernelFamily.KEPS_N, KernelFamily.KHAT_EPS_R):
             return (self.eps, 1.0)
-        if self.family in (KernelFamily.H0, KernelFamily.HBETA):
+        if self.family is KernelFamily.HBETA:
             return (1.0, np.inf)
         return (0.0, 1.0)
 
@@ -73,7 +72,7 @@ def kernel_eval(spec: KernelSpec, x, y):
         raise DomainError("kernel evaluated on or outside the interval boundary")
     s = -np.sin(np.pi * b) / np.pi
     fam = spec.family
-    if fam in (KernelFamily.K0, KernelFamily.H0):
+    if fam is KernelFamily.K0:
         return s / (x + y)
     if fam is KernelFamily.KN:
         gx = (1.0 - x) / (1.0 + x)

@@ -17,11 +17,10 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError
 
 #: grading descriptor forms accepted by gauss_rule:
-#:   None                          -> single panel
-#:   ("uniform", p)                -> p equal panels
-#:   ("geometric", lo, hi)         -> panels graded toward both endpoints
-#:                                    (lo/hi = number of levels, ratio 2)
-#:   ("geometric", lo, hi, ratio)  -> same with explicit ratio
+#:   None                   -> single panel
+#:   ("uniform", p)         -> p equal panels
+#:   ("geometric", lo, hi)  -> panels graded toward both endpoints
+#:                             (lo/hi = number of levels, ratio 2)
 Grading = Optional[Tuple]
 
 
@@ -32,7 +31,6 @@ class QuadRule:
     nodes: np.ndarray
     weights: np.ndarray
     interval: Tuple[float, float]
-    grading: Grading = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -46,11 +44,10 @@ def _panel_boundaries(grading: Grading) -> np.ndarray:
     if kind == "uniform":
         return np.linspace(0.0, 1.0, grading[1] + 1)
     if kind == "geometric":
-        lo, hi = grading[1], grading[2]
-        ratio = grading[3] if len(grading) > 3 else 2.0
+        _, lo, hi = grading
         pts = {0.0, 1.0}
-        pts.update(0.5 * ratio ** -float(j) for j in range(lo))
-        pts.update(1.0 - 0.5 * ratio ** -float(j) for j in range(hi))
+        pts.update(0.5 * 2.0 ** -float(j) for j in range(lo))
+        pts.update(1.0 - 0.5 * 2.0 ** -float(j) for j in range(hi))
         return np.array(sorted(pts))
     raise DomainError(f"unknown grading descriptor {grading!r}")
 
@@ -71,7 +68,7 @@ def gauss_rule(m: int, interval: Tuple[float, float], grading: Grading = None) -
         inner = gauss_rule(m, (0.0, 1.0 / a), grading)
         nodes = 1.0 / inner.nodes[::-1]
         weights = (inner.weights / inner.nodes**2)[::-1]
-        return QuadRule(nodes, weights, (a, np.inf), grading)
+        return QuadRule(nodes, weights, (a, np.inf))
     if not b > a:
         raise DomainError(f"empty interval {interval}")
     bounds = a + (b - a) * _panel_boundaries(grading)
@@ -81,4 +78,4 @@ def gauss_rule(m: int, interval: Tuple[float, float], grading: Grading = None) -
         half = 0.5 * (hi - lo)
         xs.append(half * xg + 0.5 * (hi + lo))
         ws.append(half * wg)
-    return QuadRule(np.concatenate(xs), np.concatenate(ws), (float(a), float(b)), grading)
+    return QuadRule(np.concatenate(xs), np.concatenate(ws), (float(a), float(b)))

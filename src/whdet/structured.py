@@ -35,8 +35,7 @@ def toeplitz(coeffs, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError("n must be positive")
     c = np.array([coeffs(k) for k in range(-(n - 1), n)])
-    j, k = np.indices((n, n))
-    return c[(j - k) + (n - 1)]
+    return scipy.linalg.toeplitz(c[n - 1:], c[n - 1::-1])
 
 
 def hankel(coeffs, n: int) -> np.ndarray:
@@ -44,8 +43,7 @@ def hankel(coeffs, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError("n must be positive")
     c = np.array([coeffs(k) for k in range(1, 2 * n)])
-    j, k = np.indices((n, n))
-    return c[j + k]
+    return scipy.linalg.hankel(c[:n], c[n - 1:])
 
 
 def _v_coeff_array(b: complex, n: int) -> np.ndarray:
@@ -125,11 +123,13 @@ SECTION_RATIO = 16
 
 @dataclass(frozen=True)
 class RefinedLogDet:
-    """A truncated computation at N and SECTION_RATIO N, and its Richardson
-    limit for an error of order N^{-exponent}."""
+    """A discretized computation at a coarse and a ``ratio`` times finer
+    resolution, and its Richardson limit for an error of order h^exponent
+    (or N^{-exponent}) in the step h (or the truncation N)."""
 
-    coarse: LogDet         # at N
-    fine: LogDet           # at SECTION_RATIO N
+    coarse: LogDet
+    fine: LogDet
+    ratio: float
     exponent: float
 
     @property
@@ -147,8 +147,8 @@ class RefinedLogDet:
     @property
     def value(self) -> LogDet:
         """The extrapolated limit (q v_fine - v_coarse)/(q - 1),
-        q = SECTION_RATIO^exponent."""
-        return LogDet.from_log(self.fine.log + self.change / (SECTION_RATIO**self.exponent - 1.0))
+        q = ratio^exponent."""
+        return LogDet.from_log(self.fine.log + self.change / (self.ratio**self.exponent - 1.0))
 
 
 def hankel_section_inverse_det(
@@ -179,7 +179,7 @@ def hankel_section_inverse_det(
         return hankel_logdet(coeffs, sign, n, m) - hankel_logdet(coeffs, sign, 0, m)
 
     refined = RefinedLogDet(block_logdet(N), block_logdet(SECTION_RATIO * N),
-                            1.0 + 2.0 * sign * b.real)
+                            SECTION_RATIO, 1.0 + 2.0 * sign * b.real)
     if refined.refinement > tol:
         warnings.warn(
             f"N={N}->{SECTION_RATIO}N changed logdet by {refined.refinement:.2e} (tol {tol:g})",

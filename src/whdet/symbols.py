@@ -4,10 +4,9 @@ Circle symbols generate Toeplitz/Hankel matrices through their Fourier
 coefficients; line symbols generate truncated convolution operators
 through the Fourier transform of (symbol - 1).  The singular symbols get
 closed-form coefficients; the regularized ones get theirs from one FFT of
-the sampled symbol; a quadrature oracle backs both.  The jump symbols u_b
-and u_{b,r} also have their coefficients k >= 1 as exponential sums in k
-(``jump_coeff_sum``), from which every Hankel section is an r x r
-determinant.
+the sampled symbol.  The jump symbols u_b and u_{b,r} also have their
+coefficients k >= 1 as exponential sums in k (``jump_coeff_sum``), from
+which every Hankel section is an r x r determinant.
 """
 
 from __future__ import annotations
@@ -16,15 +15,14 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.fft
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.integrate import quad
 from scipy.special import loggamma, roots_jacobi
 
-from .errors import DomainError, QuadFailure, SingularPointError
+from .errors import DomainError, SingularPointError
 from .expsum import CoeffSum, ExpSum, fit_even
 from .params import BetaContext, beta_value, is_near_nonpositive_integer, working_beta
 
@@ -34,7 +32,6 @@ class CircleKind(Enum):
     UBETA = "u"            # e^{i beta (theta - pi)}
     VBETA_R = "v_r"        # (1 - r/t)^beta (1 - r t)^beta
     UBETA_R = "u_r"        # (1 - r/t)^{-beta} (1 - r t)^beta
-    CUSTOM = "custom"
 
 
 class LineKind(Enum):
@@ -43,7 +40,6 @@ class LineKind(Enum):
     VHAT_EPS = "vhat_eps"  # ((x^2+eps^2)/(x^2+1))^beta
     UHAT_EPS = "uhat_eps"  # ((x-eps i)/(x-i))^{-beta} ((x+eps i)/(x+i))^beta
     PHI = "phi"            # 1 - sin(pi beta) sech(pi x)
-    CUSTOM = "custom"
 
 
 _SINGULAR_CIRCLE = (CircleKind.VBETA, CircleKind.UBETA)
@@ -60,14 +56,11 @@ class CircleSymbol:
     kind: CircleKind
     beta: complex = 0.0
     r: float = 0.0
-    fn: Optional[Callable] = None
 
     def __post_init__(self):
         beta_value(self.beta, BetaContext.FINITE)
         if self.kind in _REGULARIZED_CIRCLE and not 0.0 <= self.r < 1.0:
             raise DomainError(f"regularized symbol needs 0 <= r < 1, got r={self.r}")
-        if self.kind is CircleKind.CUSTOM and self.fn is None:
-            raise DomainError("custom circle symbol needs fn(theta)")
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,6 @@ class LineSymbol:
     kind: LineKind
     beta: complex = 0.0
     eps: float = 1.0
-    fn: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
@@ -85,8 +77,6 @@ class LineSymbol:
                 raise DomainError(f"eps must lie in (0, 1], got {self.eps}")
         beta_value(self.beta, BetaContext.SECH if self.kind is LineKind.PHI
                    else BetaContext.FINITE)
-        if self.kind is LineKind.CUSTOM and self.fn is None:
-            raise DomainError("custom line symbol needs fn(x)")
 
 
 def eval_circle(s: CircleSymbol, theta):
@@ -109,9 +99,7 @@ def eval_circle(s: CircleSymbol, theta):
     t = np.exp(1j * th)
     if s.kind is CircleKind.VBETA_R:
         return (1.0 - s.r / t) ** b * (1.0 - s.r * t) ** b
-    if s.kind is CircleKind.UBETA_R:
-        return (1.0 - s.r / t) ** (-b) * (1.0 - s.r * t) ** b
-    return s.fn(th)
+    return (1.0 - s.r / t) ** (-b) * (1.0 - s.r * t) ** b
 
 
 def eval_line(s: LineSymbol, x):
@@ -136,9 +124,7 @@ def eval_line(s: LineSymbol, x):
         )
     if s.kind is LineKind.UHAT_EPS:
         return ((x - 1j * s.eps) / (x - 1j)) ** (-b) * ((x + 1j * s.eps) / (x + 1j)) ** b
-    if s.kind is LineKind.PHI:
-        return 1.0 - np.sin(np.pi * b) / np.cosh(np.pi * x)
-    return s.fn(x)
+    return 1.0 - np.sin(np.pi * b) / np.cosh(np.pi * x)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +135,7 @@ def fourier_coeff_v(beta, k: int) -> complex:
     """k-th Fourier coefficient of (2-2 cos theta)^beta, Re beta > -1/2.
 
     Closed form (-1)^k Gamma(1+2b) / (Gamma(1+b+k) Gamma(1+b-k)), obtained
-    from the Cauchy product of the binomial series of (1-t)^b (1-1/t)^b and
-    validated against the quadrature oracle.
+    from the Cauchy product of the binomial series of (1-t)^b (1-1/t)^b.
     """
     b = beta_value(beta, BetaContext.MATRIX)
     return complex(v_coeff_array(b, np.array([k]))[0])
@@ -257,12 +242,13 @@ def jump_coeff_sum(s: CircleSymbol, kmax: Optional[int] = None) -> CoeffSum:
     rho = 1 and e = 0 for r = 1.  It converges for Re b > -1 when r < 1,
     and for every k with Re(k - b) >= 1/2, at the rate e^{-d/2} or faster.
     The m coefficients below that rate are kept explicitly: sin(pi b)/
-    (pi (b - k)) for u_b, the Cauchy product of the binomial series for
-    u_{b,r}.  ``_graded`` discretizes the rest with 16 nodes on each octave
-    of d, from a stub where every term is smooth (d K <= 1/10 for the
-    K = kmax or 40/(-ln r) coefficients that matter; r^K = e^{-40}) up to
-    where e^{-d/2} falls below e^{-40}, and ``ExpSum.compress`` keeps the
-    exponentials eta = d - ln r that matter.
+    (pi (b - k)) for u_b, the FFT table of ``reg_coeff_table`` for u_{b,r}
+    (m > 0 only at Re b >= 1/2, where an r too near 1 for its sampling
+    raises DomainError).  ``_graded`` discretizes the rest with 16 nodes on
+    each octave of d, from a stub where every term is smooth (d K <= 1/10
+    for the K = kmax or 40/(-ln r) coefficients that matter; r^K = e^{-40})
+    up to where e^{-d/2} falls below e^{-40}, and ``ExpSum.compress`` keeps
+    the exponentials eta = d - ln r that matter.
     """
     if s.kind not in (CircleKind.UBETA, CircleKind.UBETA_R):
         raise DomainError(f"no coefficient sum for symbol kind {s.kind}")
@@ -281,7 +267,10 @@ def jump_coeff_sum(s: CircleSymbol, kmax: Optional[int] = None) -> CoeffSum:
     if r < 1.0:
         f = f * _pow(-np.expm1(-d) / d, b) * _pow(-np.expm1(2.0 * math.log(r) - d), -b)
     w = -_sin_pi(b) / np.pi * r ** (m + 1) * W * f
-    lead = u_coeff_array(b, np.arange(1, m + 1)) if r == 1.0 else _binomial_coeffs(b, r, m)
+    if r == 1.0:
+        lead = u_coeff_array(b, np.arange(1, m + 1))
+    else:
+        lead = reg_coeff_table(s, m)[m + 1:] if m else np.zeros(0)
     return CoeffSum(lead, _compress_bands(d - math.log(r), w))
 
 
@@ -303,66 +292,6 @@ def _compress_bands(eta, w) -> ExpSum:
     w = np.concatenate([k.w_pos for k in bands])
     return ExpSum(np.concatenate([k.eta for k in bands]), w, w,
                   err=max(k.err for k in bands))
-
-
-def _binomial_coeffs(b, r: float, m: int) -> np.ndarray:
-    """Coefficients k = 1..m of u_{b,r} = (1 - r t)^b (1 - r/t)^{-b} by the Cauchy
-    product sum_l alpha_{k+l} beta_l of the binomial series, alpha_i =
-    binom(b, i) (-r)^i and beta_l = binom(-b, l) (-r)^l, to the l where
-    r^{2l} l^{2|b|} falls below e^{-40}."""
-    L = int(math.ceil((40.0 + 2.0 * abs(b) * math.log(1.0 + 40.0 / -math.log(r)))
-                      / -math.log(r))) + m + 1
-    i = np.arange(L)
-    alpha = np.cumprod(np.concatenate([[1.0], -r * (b - i[:-1]) / (i[:-1] + 1)]))
-    beta = np.cumprod(np.concatenate([[1.0], r * (b + i[:-1]) / (i[:-1] + 1)]))
-    return np.array([alpha[k:] @ beta[:L - k] for k in range(1, m + 1)])
-
-
-def fourier_coeff_regularized(s: CircleSymbol, k: int) -> complex:
-    """Single coefficient of a regularized symbol (see reg_coeff_table)."""
-    return complex(reg_coeff_table(s, abs(k))[abs(k) + k])
-
-
-def fourier_coeff_numeric(s: CircleSymbol, k: int, tol: float = 1e-11) -> complex:
-    """(1/2pi) int_0^{2pi} s(e^{i theta}) e^{-ik theta} d theta by adaptive
-    quadrature, split at the theta=0 singularity.
-
-    Each half is mapped by theta = u^3 (resp. 2 pi - theta = u^3), which
-    turns the algebraic endpoint singularity theta^{2 Re beta} into the
-    mild u^{6 Re beta + 2}, well inside adaptive-quadrature territory for
-    Re beta > -1/2.
-    """
-    def f(th):
-        return eval_circle(s, th) * np.exp(-1j * k * th)
-
-    # choose the map power so the worst singularity theta^{2 Re beta}
-    # becomes at least u^2 (C^1 at the endpoint)
-    p = 3
-    if s.kind in _SINGULAR_CIRCLE:
-        re = complex(s.beta).real
-        if s.kind is CircleKind.VBETA and re < 0.2:
-            p = min(40, max(3, int(math.ceil(3.0 / (1.0 + 2.0 * re)))))
-    u_hi = np.pi ** (1.0 / p)
-    u_lo = 1e-6  # stub below u_lo is O(u_lo^2) by the choice of p
-    # second half parametrized as theta = 2 pi - u^p; evaluating the symbol
-    # at -u^p and the phase as e^{+i k u^p} (integer k) avoids the rounding
-    # of 2 pi - tiny to 2 pi
-    parts = (
-        lambda u: f(u**p) * p * u ** (p - 1),
-        lambda u: eval_circle(s, -(u**p)) * np.exp(1j * k * u**p) * p * u ** (p - 1),
-    )
-    total = 0.0 + 0.0j
-    err = 0.0
-    for g in parts:
-        vr, er = quad(lambda u: float(np.real(g(u))), u_lo, u_hi,
-                      limit=400, epsabs=tol / 8, epsrel=1e-13)
-        vi, ei = quad(lambda u: float(np.imag(g(u))), u_lo, u_hi,
-                      limit=400, epsabs=tol / 8, epsrel=1e-13)
-        total += vr + 1j * vi
-        err += er + ei
-    if err > tol * 2 * np.pi:
-        raise QuadFailure(f"coefficient quadrature error estimate {err:.2e} above tolerance")
-    return complex(total / (2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +412,3 @@ def sech_kernel(beta) -> ExpSum:
     base = _sech_sum()
     w = -np.sin(np.pi * b) / (2.0 * np.pi) * base.w_pos
     return ExpSum(base.eta, w, w, base.interp, base.err)
-
-
-def kernel_line(s: LineSymbol, x):
-    """Kernel value k(x) of a line symbol (scalar or array x).
-
-    PHI uses the closed form -(sin pi b)/(2 pi) sech(x/2); the regularized
-    kinds integrate over the branch cut.  The values are real for a real
-    beta, complex otherwise.
-    """
-    b = working_beta(complex(s.beta))
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if b == 0:
-        val = np.zeros(xv.shape)
-    elif s.kind is LineKind.PHI:
-        val = -np.sin(np.pi * b) / (2 * np.pi) / np.cosh(xv / 2.0)
-    elif s.kind in (LineKind.VHAT, LineKind.UHAT):
-        raise DomainError(f"symbol kind {s.kind} has no integrable kernel (s-1 not L^1)")
-    else:
-        val = cut_kernel(s)(xv)
-    return val if np.ndim(x) else val[0].item()

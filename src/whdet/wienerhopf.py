@@ -12,12 +12,10 @@ O(N r) memory, at any truncation R; no N x N matrix is formed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
 from .expsum import ExpSum, expsum_logdet
@@ -25,7 +23,7 @@ from .logdet import LogDet
 from .params import BetaContext, beta_value, check_sign, working_beta
 from .quadrature import QuadRule, gauss_rule
 from .specfun import ln_barnes_g
-from .symbols import LineKind, LineSymbol, cut_kernel, cut_rule, eval_line, sech_kernel
+from .symbols import LineKind, LineSymbol, cut_kernel, cut_rule, sech_kernel
 
 _SUPPORTED = (LineKind.VHAT_EPS, LineKind.PHI, LineKind.UHAT_EPS)
 
@@ -55,7 +53,7 @@ def reflected_union_rule(rule: QuadRule) -> QuadRule:
         raise DomainError("union rule expects an interval starting at 0")
     nodes = np.concatenate([rule.nodes, 2.0 * R - rule.nodes[::-1]])
     weights = np.concatenate([rule.weights, rule.weights[::-1]])
-    return QuadRule(nodes, weights, (0.0, 2.0 * R), rule.grading)
+    return QuadRule(nodes, weights, (0.0, 2.0 * R))
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,13 @@ def akhiezer_kac_E(beta) -> complex:
 
 
 def geometric_mean_log(symbol: LineSymbol) -> complex:
-    """(1/2pi) int log a(x) dx: closed forms for the regularized zero/pole
-    symbol (-b(1-eps)) and the sech symbol (-b/2 - b^2/2); quadrature
-    otherwise."""
+    """(1/2pi) int log a(x) dx, the limit of the integral over [-X, X], in
+    closed form: -b for the zero/pole symbol, -b(1-eps) for its
+    regularization, -b/2 - b^2/2 for the sech symbol and 0 for the
+    regularized jump symbol, where the logs of the two factors
+    ((x -+ eps i)/(x -+ i))^{-+b} tend to -+b pi (eps - 1) (close the
+    contour in the half plane where the factor is analytic).  Any other
+    kind (the pure jump symbol) raises DomainError."""
     b = complex(symbol.beta)
     if symbol.kind is LineKind.VHAT_EPS:
         return -b * (1.0 - symbol.eps)
@@ -135,25 +137,9 @@ def geometric_mean_log(symbol: LineSymbol) -> complex:
         return -b / 2.0 - b * b / 2.0
     if symbol.kind is LineKind.VHAT:
         return -b
-
-    def integrand(u):
-        x = math.tan(u)
-        val = np.log(eval_line(symbol, x)) / math.cos(u) ** 2
-        return val
-
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            re, re_err = quad(lambda u: float(np.real(integrand(u))),
-                              -np.pi / 2, np.pi / 2, limit=400)
-            im, im_err = quad(lambda u: float(np.imag(integrand(u))),
-                              -np.pi / 2, np.pi / 2, limit=400)
-        diverged = any(issubclass(w.category, IntegrationWarning) for w in caught)
-    except Exception as exc:  # quadrature blow-up means log a is not integrable
-        raise DomainError(f"log-symbol quadrature failed: {exc}") from exc
-    if diverged or not (np.isfinite(re) and np.isfinite(im)) or re_err + im_err > 1e-6:
-        raise DomainError("log-symbol integral did not converge (winding or integrability)")
-    return complex(re, im) / (2.0 * np.pi)
+    if symbol.kind is LineKind.UHAT_EPS:
+        return 0j
+    raise DomainError(f"no geometric mean for symbol kind {symbol.kind}")
 
 
 def factor_product_logdet(beta, eps: float, R: float,

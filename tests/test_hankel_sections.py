@@ -8,10 +8,13 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import whdet.symbols
 
 from whdet import (
     BetaContext,
@@ -77,6 +80,27 @@ class TestCoefficientSums:
         # relative to each coefficient: the sum is compressed one band of
         # exponents at a time, so the slow ones keep their accuracy
         assert np.max(np.abs(c(ks) - want) / np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("b, r", [(1.3, 0.999), (2.6, 0.99), (1.9, 0.9999), (3.4, 0.9),
+                                      (1.7 - 0.2j, 0.99), (2.2 + 0.3j, 0.999)])
+    def test_reg_lead_matches_hypergeometric(self, b, r):
+        # c_k = r^k (-b)_k / k! 2F1(k - b, b; k + 1; r^2) at 40 digits
+        lead = jump_coeff_sum(_reg(b, r)).lead
+        assert len(lead) == math.ceil(complex(b).real + 0.5) - 1
+        with mpmath.workdps(40):
+            B, R = mpmath.mpc(b), mpmath.mpf(r)
+            want = np.array([complex(R**k * mpmath.rf(-B, k) / mpmath.factorial(k)
+                                     * mpmath.hyp2f1(k - B, B, k + 1, R * R))
+                             for k in range(1, len(lead) + 1)])
+        assert np.max(np.abs(lead - want) / np.abs(want)) <= 2e-15
+
+    def test_reg_lead_near_one_raises_before_sampling(self, monkeypatch):
+        # at Re b >= 1/2 the lead needs about 40/(1 - r) samples: over the cap
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the symbol was sampled")
+        monkeypatch.setattr(whdet.symbols, "eval_circle", unreachable)
+        with pytest.raises(DomainError, match="samples"):
+            fredholm_det_hankel_reg(0.7, 1 - 1e-8, +1)
 
     def test_real_beta_real_sum(self):
         for s in (_reg(0.3, 0.9), CircleSymbol(CircleKind.UBETA, beta=-0.3)):

@@ -16,6 +16,7 @@ from whdet import (
     akhiezer_kac_E,
     det_w2r,
     det_wr_pm_hr,
+    eval_line,
     factor_product_logdet,
     finite_section_quotient,
     geometric_mean_log,
@@ -24,6 +25,8 @@ from whdet import (
     rel_exp_diff,
     wh_rule,
 )
+
+from _quad_oracle import geometric_mean_log_numeric
 
 
 def vhat(beta, eps):
@@ -155,19 +158,27 @@ class TestGeometricMean:
         val, _ = quad(f, -60, 60, limit=400, epsabs=1e-13)
         assert abs(closed - val / (2 * np.pi)) < 1e-9
 
-    def test_custom_by_quadrature(self):
-        # same symbol through the quadrature path
-        b, eps = 0.25, 0.2
-        sym = LineSymbol(LineKind.CUSTOM, beta=b,
-                         fn=lambda x: ((x * x + eps**2) / (x * x + 1.0)) ** b)
-        got = geometric_mean_log(sym)
-        assert abs(got - (-b * (1 - eps))) < 1e-8
+    @pytest.mark.parametrize("sym", [
+        vhat(0.25, 0.2), vhat(-0.4, 1e-3), vhat(0.3 + 0.2j, 0.5),
+        LineSymbol(LineKind.VHAT, beta=0.3), LineSymbol(LineKind.VHAT, beta=-0.2 + 0.1j),
+        LineSymbol(LineKind.PHI, beta=-0.3), LineSymbol(LineKind.PHI, beta=0.2 + 0.1j),
+        *(LineSymbol(LineKind.UHAT_EPS, beta=b, eps=0.1) for b in (0.3, -0.4, 0.3 + 0.2j)),
+        *(LineSymbol(LineKind.UHAT_EPS, beta=b, eps=eps)
+          for b in (0.9, -0.7, 0.5 + 0.4j, 2.3) for eps in (1e-3, 0.5)),
+    ], ids=repr)
+    def test_closed_form_vs_quadrature(self, sym):
+        want = geometric_mean_log_numeric(lambda x: eval_line(sym, x))
+        assert abs(geometric_mean_log(sym) - want) < 1e-12
 
     def test_nonintegrable_log_rejected(self):
-        # log(1/(1+x^2)) ~ -2 log|x| at infinity: not integrable
-        sym = LineSymbol(LineKind.CUSTOM, fn=lambda x: 1.0 / (1.0 + x * x))
+        # the pure jump symbol has no closed form: its log jumps at 0
         with pytest.raises(DomainError):
-            geometric_mean_log(sym)
+            geometric_mean_log(LineSymbol(LineKind.UHAT, beta=0.3))
+
+    def test_oracle_rejects_nonintegrable_log(self):
+        # log(1/(1+x^2)) ~ -2 log|x| at infinity: not integrable
+        with pytest.raises(AssertionError):
+            geometric_mean_log_numeric(lambda x: 1.0 / (1.0 + x * x))
 
 
 class TestFactorProduct:
