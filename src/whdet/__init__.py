@@ -7,10 +7,16 @@ from .asymptotics import (
     AsymKind,
     AsymptoteSpec,
     ConvergenceTable,
+    akhiezer_kac_E,
     asymptote_log,
     c_beta,
     convergence_table,
+    d_n_exact,
+    det_tn_exact,
+    geometric_mean_log,
+    ln_akhiezer_kac_E,
     ln_c_beta,
+    ln_det_hankel_reg_exact,
 )
 from .errors import (
     ConstraintError,
@@ -46,12 +52,9 @@ from .specfun import (
 from .structured import (
     RefinedLogDet,
     d_n,
-    d_n_exact,
-    det_tn_exact,
     fredholm_det_hankel_reg,
     hankel,
     hankel_section_inverse_det,
-    ln_det_hankel_reg_exact,
     toeplitz,
 )
 from .symbols import (
@@ -71,12 +74,9 @@ from .symbols import (
 )
 from .wienerhopf import (
     TruncatedWH,
-    akhiezer_kac_E,
     det_w2r,
     det_wr_pm_hr,
     factor_product_logdet,
-    geometric_mean_log,
-    ln_akhiezer_kac_E,
     reflected_union_rule,
     wh_rule,
 )

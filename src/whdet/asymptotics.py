@@ -1,5 +1,13 @@
-"""Every asymptotic formula of the theory, in log form, plus convergence
-tables quantifying how computed determinants approach them."""
+"""Every closed form of the theory, in log form: the exact finite-n
+Barnes-G products of det T_n(v_b) and det[T_n(v_b) +- H_n(v_b)], the
+closed form of det(I +- H(u_{b,r})), every asymptote (one table, one row
+per kind), E[phi_b] and C_b; plus convergence tables quantifying how
+computed determinants approach them.
+
+This is the one module above ``specfun`` that evaluates Barnes G; the
+route modules (``structured``, ``wienerhopf``, ``fredholm``) compute
+determinants, and none of them is imported here.
+"""
 
 from __future__ import annotations
 
@@ -12,12 +20,137 @@ import numpy as np
 
 from .errors import DomainError
 from .logdet import LogDet
-from .params import BetaContext, beta_value
+from .params import BetaContext, beta_value, check_sign
 from .specfun import ln_barnes_g
-from .wienerhopf import ln_akhiezer_kac_E
 
 LN_2PI = math.log(2.0 * math.pi)
 LN_2 = math.log(2.0)
+#: ln G(1/2) and ln G(3/2), the beta-free Barnes values of the constants
+_LN_G_HALF = ln_barnes_g(0.5)
+_LN_G_3HALF = ln_barnes_g(1.5)
+#: h and ln G(h) of the discrete constants by sign: D_n^+ has h = 1/2, D_n^- h = 3/2
+_DISCRETE_H = {+1: (0.5, _LN_G_HALF), -1: (1.5, _LN_G_3HALF)}
+
+
+def _k_discrete(b: complex, sign: int) -> complex:
+    """K_+-(b), the n-free constant of D_n^+-:
+    (b/2) ln 2pi - (b^2/2) ln 2 + ln G(h) - ln G(h+b)."""
+    h, ln_g_h = _DISCRETE_H[sign]
+    return (b / 2) * LN_2PI - (b * b / 2) * LN_2 + ln_g_h - ln_barnes_g(h + b)
+
+
+def _k_toeplitz(b: complex) -> complex:
+    """K_T(b) = ln[G(1+b)^2/G(1+2b)], the n-free constant of det T_n(v_b)."""
+    return 2.0 * ln_barnes_g(1.0 + b) - ln_barnes_g(1.0 + 2.0 * b)
+
+
+def d_n_exact(beta, n: int, sign: int) -> LogDet:
+    """The exact finite-n Barnes-G product for det[T_n(v) +- H_n(v)]:
+    e^{K_+-(b)} G(n+2-h) G(n+1) G(n+1+b) G(n+h+b) /
+    [G(n+1/2+b/2) G(n+1+b/2)^2 G(n+3/2+b/2)], h as in ``_k_discrete``.
+
+    Valid on the analytically continued domains (beta off -1/2, -3/2, ...
+    for the + sign, off -3/2, -5/2, ... for the - sign).
+    """
+    check_sign(sign)
+    ctx = BetaContext.DISCRETE_PLUS if sign > 0 else BetaContext.DISCRETE_MINUS
+    b = beta_value(beta, ctx)
+    if n < 1:
+        raise DomainError("n must be positive")
+    h = _DISCRETE_H[sign][0]
+    num = (
+        ln_barnes_g(n + (2.0 - h))
+        + ln_barnes_g(n + 1.0)
+        + ln_barnes_g(n + 1.0 + b)
+        + ln_barnes_g(n + h + b)
+    )
+    den = (
+        ln_barnes_g(n + 0.5 + b / 2)
+        + 2.0 * ln_barnes_g(n + 1.0 + b / 2)
+        + ln_barnes_g(n + 1.5 + b / 2)
+    )
+    return LogDet.from_log(_k_discrete(b, sign) + num - den)
+
+
+def det_tn_exact(beta, n: int) -> LogDet:
+    """Exact det T_n(v_beta) = G(1+b)^2/G(1+2b) * G(1+n)G(1+2b+n)/G(1+b+n)^2."""
+    b = beta_value(beta, BetaContext.FINITE)
+    if n < 1:
+        raise DomainError("n must be positive")
+    return LogDet.from_log(
+        _k_toeplitz(b)
+        + ln_barnes_g(1.0 + n)
+        + ln_barnes_g(1.0 + 2.0 * b + n)
+        - 2.0 * ln_barnes_g(1.0 + b + n)
+    )
+
+
+def ln_det_hankel_reg_exact(beta, r: float, sign: int) -> complex:
+    """Closed form of log det(I +- H(u_{beta,r})):
+    ((1-r)/(1+r))^{+-b/2} (1-r^2)^{b^2/2}."""
+    b = beta_value(beta, BetaContext.FINITE)
+    check_sign(sign)
+    if not 0.0 <= r < 1.0:
+        raise DomainError(f"need 0 <= r < 1, got {r}")
+    if r == 0.0:
+        return 0.0 + 0.0j
+    return sign * b / 2 * math.log((1 - r) / (1 + r)) + b * b / 2 * math.log(1 - r * r)
+
+
+def ln_akhiezer_kac_E(beta) -> complex:
+    """log of the R-independent constant for the sech symbol:
+    G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2) /
+    [G(1/2) G(3/2) G(3/2+b) G(1/2-b)]."""
+    b = beta_value(beta, BetaContext.SECH)
+    num = 2.0 * (
+        ln_barnes_g(1.5 + b / 2)
+        + ln_barnes_g(1.0 + b / 2)
+        + ln_barnes_g(1.0 - b / 2)
+        + ln_barnes_g(0.5 - b / 2)
+    )
+    den = _LN_G_HALF + _LN_G_3HALF + ln_barnes_g(1.5 + b) + ln_barnes_g(0.5 - b)
+    return num - den
+
+
+def akhiezer_kac_E(beta) -> complex:
+    """The constant itself (exp of ln_akhiezer_kac_E)."""
+    return complex(np.exp(ln_akhiezer_kac_E(beta)))
+
+
+def ln_c_beta(beta) -> complex:
+    """log of C_b = 2^{b^2} G(1/2)G(3/2)G(3/2+b)G(1/2-b) /
+    [G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2)]."""
+    b = beta_value(beta, BetaContext.CONTINUOUS_MINUS)
+    return b * b * LN_2 - ln_akhiezer_kac_E(b)
+
+
+def c_beta(beta) -> complex:
+    """The constant C_b itself."""
+    return complex(np.exp(ln_c_beta(beta)))
+
+
+#: (1/2pi) int log a(x) dx of the line symbols with a finite one, keyed by
+#: the LineKind name and taking (beta, eps)
+_GEOMETRIC_MEANS = {
+    "VHAT": lambda b, eps: -b,
+    "VHAT_EPS": lambda b, eps: -b * (1.0 - eps),
+    "PHI": lambda b, eps: -b / 2.0 - b * b / 2.0,
+    "UHAT_EPS": lambda b, eps: 0j,
+}
+
+
+def geometric_mean_log(symbol) -> complex:
+    """(1/2pi) int log a(x) dx of a LineSymbol, the limit of the integral
+    over [-X, X], in closed form: -b for the zero/pole symbol, -b(1-eps)
+    for its regularization, -b/2 - b^2/2 for the sech symbol and 0 for the
+    regularized jump symbol, where the logs of the two factors
+    ((x -+ eps i)/(x -+ i))^{-+b} tend to -+b pi (eps - 1) (close the
+    contour in the half plane where the factor is analytic).  Any other
+    kind (the pure jump symbol) raises DomainError."""
+    mean = _GEOMETRIC_MEANS.get(symbol.kind.name)
+    if mean is None:
+        raise DomainError(f"no geometric mean for symbol kind {symbol.kind}")
+    return mean(complex(symbol.beta), symbol.eps)
 
 
 class AsymKind(Enum):
@@ -31,15 +164,25 @@ class AsymKind(Enum):
     CBETA = "cbeta"               # the scale-free constant C_b
 
 
-_STRIPS = {
-    AsymKind.CONTINUOUS_PLUS: BetaContext.CONTINUOUS_PLUS,
-    AsymKind.CONTINUOUS_MINUS: BetaContext.CONTINUOUS_MINUS,
-    AsymKind.DISCRETE_PLUS: BetaContext.DISCRETE_PLUS,
-    AsymKind.DISCRETE_MINUS: BetaContext.DISCRETE_MINUS,
-    AsymKind.W2R_CONT: BetaContext.MATRIX,
-    AsymKind.T2N_DISCRETE: BetaContext.MATRIX,
-    AsymKind.SECH: BetaContext.SECH,
-    AsymKind.CBETA: BetaContext.CONTINUOUS_MINUS,
+def _continuous(partner: AsymKind):
+    """A continuous asymptote at scale s: -b s plus its discrete partner's at s/2."""
+    return lambda b, s: -b * s + _ASYMPTOTES[partner][1](b, s / 2.0)
+
+
+#: each kind's beta strip and its log-asymptote (b, scale) -> complex
+_ASYMPTOTES = {
+    AsymKind.CONTINUOUS_PLUS: (BetaContext.CONTINUOUS_PLUS, _continuous(AsymKind.DISCRETE_PLUS)),
+    AsymKind.CONTINUOUS_MINUS:
+        (BetaContext.CONTINUOUS_MINUS, _continuous(AsymKind.DISCRETE_MINUS)),
+    AsymKind.DISCRETE_PLUS: (BetaContext.DISCRETE_PLUS,
+                             lambda b, n: (b * b / 2 - b / 2) * math.log(n) + _k_discrete(b, +1)),
+    AsymKind.DISCRETE_MINUS: (BetaContext.DISCRETE_MINUS,
+                              lambda b, n: (b * b / 2 + b / 2) * math.log(n) + _k_discrete(b, -1)),
+    AsymKind.W2R_CONT: (BetaContext.MATRIX, _continuous(AsymKind.T2N_DISCRETE)),
+    AsymKind.T2N_DISCRETE: (BetaContext.MATRIX, lambda b, m: b * b * math.log(m) + _k_toeplitz(b)),
+    AsymKind.SECH: (BetaContext.SECH,
+                    lambda b, s: -s * (b / 2 + b * b / 2) + ln_akhiezer_kac_E(b)),
+    AsymKind.CBETA: (BetaContext.CONTINUOUS_MINUS, lambda b, s: ln_c_beta(b)),
 }
 
 
@@ -49,7 +192,7 @@ class AsymptoteSpec:
     beta: complex
 
     def __post_init__(self):
-        beta_value(self.beta, _STRIPS[self.kind])
+        beta_value(self.beta, _ASYMPTOTES[self.kind][0])
 
 
 def asymptote_log(spec: AsymptoteSpec, scale: float) -> complex:
@@ -61,72 +204,7 @@ def asymptote_log(spec: AsymptoteSpec, scale: float) -> complex:
     """
     if spec.kind is not AsymKind.CBETA and scale <= 0:
         raise DomainError("scale must be positive")
-    b = complex(spec.beta)
-    k = spec.kind
-    if k is AsymKind.CONTINUOUS_PLUS:
-        return (
-            -b * scale
-            + (b * b / 2 - b / 2) * math.log(scale)
-            + (b / 2) * LN_2PI
-            + (-b * b + b / 2) * LN_2
-            + ln_barnes_g(0.5)
-            - ln_barnes_g(0.5 + b)
-        )
-    if k is AsymKind.CONTINUOUS_MINUS:
-        return (
-            -b * scale
-            + (b * b / 2 + b / 2) * math.log(scale)
-            + (b / 2) * LN_2PI
-            + (-b * b - b / 2) * LN_2
-            + ln_barnes_g(1.5)
-            - ln_barnes_g(1.5 + b)
-        )
-    if k is AsymKind.DISCRETE_PLUS:
-        return (
-            (b * b / 2 - b / 2) * math.log(scale)
-            + (b / 2) * LN_2PI
-            - (b * b / 2) * LN_2
-            + ln_barnes_g(0.5)
-            - ln_barnes_g(0.5 + b)
-        )
-    if k is AsymKind.DISCRETE_MINUS:
-        return (
-            (b * b / 2 + b / 2) * math.log(scale)
-            + (b / 2) * LN_2PI
-            - (b * b / 2) * LN_2
-            + ln_barnes_g(1.5)
-            - ln_barnes_g(1.5 + b)
-        )
-    if k is AsymKind.W2R_CONT:
-        return (
-            -b * scale
-            + b * b * math.log(scale / 2.0)
-            + 2.0 * ln_barnes_g(1.0 + b)
-            - ln_barnes_g(1.0 + 2.0 * b)
-        )
-    if k is AsymKind.T2N_DISCRETE:
-        return (
-            b * b * math.log(scale)
-            + 2.0 * ln_barnes_g(1.0 + b)
-            - ln_barnes_g(1.0 + 2.0 * b)
-        )
-    if k is AsymKind.SECH:
-        return -scale * (b / 2 + b * b / 2) + ln_akhiezer_kac_E(b)
-    if k is AsymKind.CBETA:
-        return ln_c_beta(b)
-    raise DomainError(f"unknown asymptote kind {k}")
-
-
-def ln_c_beta(beta) -> complex:
-    """log of C_b = 2^{b^2} G(1/2)G(3/2)G(3/2+b)G(1/2-b) /
-    [G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2)]."""
-    b = beta_value(beta, BetaContext.CONTINUOUS_MINUS)
-    return b * b * LN_2 - ln_akhiezer_kac_E(b)
-
-
-def c_beta(beta) -> complex:
-    """The constant C_b itself."""
-    return complex(np.exp(ln_c_beta(beta)))
+    return _ASYMPTOTES[spec.kind][1](complex(spec.beta), scale)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ Exit codes: 0 ok, 1 tolerance violation, 2 invalid config, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -185,7 +186,7 @@ def run_verify(cfg: RunConfig):
             for sign in (+1, -1):
                 dn[sign] = structured.d_n(b, n, sign)
                 check(f"d_n{sign:+d}({b:g},{n})",
-                      rel_exp_diff(dn[sign], structured.d_n_exact(b, n, sign)),
+                      rel_exp_diff(dn[sign], asymptotics.d_n_exact(b, n, sign)),
                       max(tol, 1e-8))
             # Toeplitz doubling: det T_2n = D_n+ D_n-
             t2n = structured.logdet(structured.toeplitz(
@@ -196,7 +197,7 @@ def run_verify(cfg: RunConfig):
         for r in (0.5, 0.8):
             for sign in (+1, -1):
                 got = structured.fredholm_det_hankel_reg(b, r, sign)
-                want = structured.ln_det_hankel_reg_exact(b, r, sign)
+                want = asymptotics.ln_det_hankel_reg_exact(b, r, sign)
                 check(f"hankel-reg({b:g},{r},{sign:+d})",
                       abs(np.exp(got.log - want) - 1.0), max(tol, 1e-8))
         # inverse-section route at the configured truncation
@@ -264,7 +265,7 @@ def _sweep_rows(cfg: RunConfig):
                 else:
                     ld = structured.d_n(b, s, sign)
                     rows.append({**_row(float(s), ld, asym),
-                                 "error": rel_exp_diff(ld, structured.d_n_exact(b, s, sign))})
+                                 "error": rel_exp_diff(ld, asymptotics.d_n_exact(b, s, sign))})
     return rows, []
 
 
@@ -291,7 +292,7 @@ def _or_nan(constant, b: complex) -> complex:
 def run_constants(cfg: RunConfig):
     rows = []
     for b in cfg.betas:
-        e_phi = _or_nan(wienerhopf.akhiezer_kac_E, b)
+        e_phi = _or_nan(asymptotics.akhiezer_kac_E, b)
         cb = _or_nan(asymptotics.c_beta, b)
         cplus = np.exp(asymptote_log(AsymptoteSpec(AsymKind.DISCRETE_PLUS, b), 1.0))
         cminus = np.exp(asymptote_log(AsymptoteSpec(AsymKind.DISCRETE_MINUS, b), 1.0))
@@ -308,39 +309,25 @@ def run_constants(cfg: RunConfig):
 
 
 def write_output(cfg: RunConfig, rows: list, violations: list):
+    """The rows as CSV, header first, or as one JSON document with the
+    config and the violations; to --out, else to stdout."""
     header = {"constants": CONSTANTS_HEADER, "verify": CHECK_HEADER,
               "sweep-discrete": DISCRETE_HEADER,
               "sweep-continuous": CONTINUOUS_HEADER}.get(cfg.command, CSV_HEADER)
-    cells = [{h: row[h] if isinstance(row[h], str) else f"{row[h]:.17g}" for h in header}
-             for row in rows]
-    if cfg.out is None:
-        csv.DictWriter(sys.stdout, fieldnames=header, lineterminator="\n").writerows(cells)
-        return
-    if cfg.fmt == "json":
-        doc = {
-            "config": {
-                "command": cfg.command,
-                "betas": [[b.real, b.imag] for b in cfg.betas],
-                "n_range": cfg.n_range,
-                "r_range": cfg.r_range,
-                "eps": cfg.eps,
-                "panels": cfg.panels,
-                "nodes": cfg.nodes,
-                "trunc_N": cfg.trunc_N,
-                "seed": cfg.seed,
-                "tol": cfg.tol,
-            },
-            "rows": rows,
-            "violations": violations,
-        }
-        with open(cfg.out, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
+    dest = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
+    with dest as f:
+        if cfg.fmt == "json":
+            config = {k: getattr(cfg, k) for k in ("command", "n_range", "r_range", "eps",
+                                                   "panels", "nodes", "trunc_N", "seed", "tol")}
+            config["betas"] = [[b.real, b.imag] for b in cfg.betas]
+            json.dump({"config": config, "rows": rows, "violations": violations},
+                      f, indent=1, sort_keys=True)
             f.write("\n")
-    else:
-        with open(cfg.out, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=header)
+        else:
+            writer = csv.DictWriter(f, fieldnames=header, lineterminator="\n")
             writer.writeheader()
-            writer.writerows(cells)
+            writer.writerows({h: row[h] if isinstance(row[h], str) else f"{row[h]:.17g}"
+                              for h in header} for row in rows)
 
 
 #: the strip of each command's routes; every beta of KERNEL_FAMILY, the cut

@@ -14,11 +14,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .asymptotics import ln_det_hankel_reg_exact
 from .errors import DomainError
 from .logdet import LogDet, check_dense, logdet
 from .params import BetaContext, beta_value, check_sign, working_beta
 from .quadrature import QuadRule, gauss_rule
-from .structured import ln_det_hankel_reg_exact
+from .specfun import sin_pi
 
 
 class KernelFamily(Enum):
@@ -70,7 +71,7 @@ def kernel_eval(spec: KernelSpec, x, y):
         raise DomainError("kernel needs x + y > 0")
     if np.any((x <= lo) | (y <= lo)) or (np.isfinite(hi) and np.any((x >= hi) | (y >= hi))):
         raise DomainError("kernel evaluated on or outside the interval boundary")
-    s = -np.sin(np.pi * b) / np.pi
+    s = -sin_pi(b) / np.pi
     fam = spec.family
     if fam is KernelFamily.K0:
         return s / (x + y)

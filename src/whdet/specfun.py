@@ -18,7 +18,6 @@ from scipy.special import loggamma as _loggamma
 from .errors import ConstraintError, PoleError, ZeroError
 from .params import is_near_nonpositive_integer
 
-LN_2PI = math.log(2.0 * math.pi)
 #: log of the Glaisher-Kinkelin constant, ln A = 1/12 - zeta'(-1)
 LN_GLAISHER = 0.24875447703378426254725299357633
 #: Bernoulli numbers B4, B6, ..., B16 for the tail of the expansion
@@ -80,6 +79,15 @@ def ln_barnes_g(z) -> complex:
         # G(z+m) = G(z) * prod_j Gamma(z+j)
         val -= complex(_loggamma(z + j))
     return val
+
+
+def sin_pi(b):
+    """sin(pi b) to full relative accuracy near the integers too, as
+    (-1)^n sin(pi (b - n)) with n the integer nearest Re b (b - n is exact);
+    np.sin(np.pi * b) is off by about 4e-16 absolute there, which is 7e-10
+    relative at b = -1 + 1.8e-7."""
+    n = round(np.real(b))
+    return (-1.0) ** (n % 2) * np.sin(np.pi * (b - n))
 
 
 def barnes_ratio_asymptote(xs, ys, n) -> complex:

@@ -1,13 +1,13 @@
-"""Finite Toeplitz/Hankel matrices, their determinants, and the exact
-Barnes-G closed forms they must reproduce.
+"""Finite Toeplitz/Hankel matrices and their determinants.
 
 The determinants of T_n(v) +- H_n(v) admit finite-n products of Barnes
-G-values; the blocks of the inverse of an infinite Hankel operator give
-the same numbers through a completely different route, which is what
-most of the tests exploit.  ``d_n`` is a dense LU; the Hankel operators
-of u_b and u_{b,r} are never formed: their coefficients are exponential
-sums, and every section of them is an r x r determinant
-(``expsum.hankel_logdet``) at any truncation, infinity included.
+G-values (``asymptotics.d_n_exact``); the blocks of the inverse of an
+infinite Hankel operator give the same numbers through a completely
+different route, which is what most of the tests exploit.  ``d_n`` is a
+dense LU; the Hankel operators of u_b and u_{b,r} are never formed: their
+coefficients are exponential sums, and every section of them is an r x r
+determinant (``expsum.hankel_logdet``) at any truncation, infinity
+included.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from .errors import ConvergenceWarning, DomainError
 from .expsum import hankel_logdet
 from .logdet import LogDet, check_dense, logdet
 from .params import BetaContext, beta_value, check_sign
-from .specfun import ln_barnes_g
 from .symbols import CircleKind, CircleSymbol, jump_coeff_sum, v_coeff_array
-
-LN_2PI = math.log(2.0 * math.pi)
-LN_2 = math.log(2.0)
 
 
 def toeplitz(coeffs, n: int) -> np.ndarray:
@@ -65,56 +61,6 @@ def d_n(beta, n: int, sign: int) -> LogDet:
     A = scipy.linalg.toeplitz(c[off:off + n], c[off::-1][:n])       # c_{j-k}
     A += sign * scipy.linalg.hankel(c[off + 1:off + n + 1], c[off + n:])  # c_{j+k+1}
     return logdet(A)
-
-
-def d_n_exact(beta, n: int, sign: int) -> LogDet:
-    """The exact finite-n Barnes-G product for det[T_n(v) +- H_n(v)].
-
-    Valid on the analytically continued domains (beta off -1/2, -3/2, ...
-    for the + sign, off -3/2, -5/2, ... for the - sign).
-    """
-    check_sign(sign)
-    ctx = BetaContext.DISCRETE_PLUS if sign > 0 else BetaContext.DISCRETE_MINUS
-    b = beta_value(beta, ctx)
-    if n < 1:
-        raise DomainError("n must be positive")
-    if sign > 0:
-        pre = (b / 2) * LN_2PI - (b * b / 2) * LN_2 + ln_barnes_g(0.5) - ln_barnes_g(0.5 + b)
-        num = (
-            ln_barnes_g(n + 1.5)
-            + ln_barnes_g(n + 1.0)
-            + ln_barnes_g(n + 1.0 + b)
-            + ln_barnes_g(n + 0.5 + b)
-        )
-    else:
-        pre = (b / 2) * LN_2PI - (b * b / 2) * LN_2 + ln_barnes_g(1.5) - ln_barnes_g(1.5 + b)
-        num = (
-            ln_barnes_g(n + 0.5)
-            + ln_barnes_g(n + 1.0)
-            + ln_barnes_g(n + 1.0 + b)
-            + ln_barnes_g(n + 1.5 + b)
-        )
-    den = (
-        ln_barnes_g(n + 0.5 + b / 2)
-        + 2.0 * ln_barnes_g(n + 1.0 + b / 2)
-        + ln_barnes_g(n + 1.5 + b / 2)
-    )
-    return LogDet.from_log(pre + num - den)
-
-
-def det_tn_exact(beta, n: int) -> LogDet:
-    """Exact det T_n(v_beta) = G(1+b)^2/G(1+2b) * G(1+n)G(1+2b+n)/G(1+b+n)^2."""
-    b = beta_value(beta, BetaContext.FINITE)
-    if n < 1:
-        raise DomainError("n must be positive")
-    ln = (
-        2.0 * ln_barnes_g(1.0 + b)
-        - ln_barnes_g(1.0 + 2.0 * b)
-        + ln_barnes_g(1.0 + n)
-        + ln_barnes_g(1.0 + 2.0 * b + n)
-        - 2.0 * ln_barnes_g(1.0 + b + n)
-    )
-    return LogDet.from_log(ln)
 
 
 #: ratio of the fine to the coarse truncation of hankel_section_inverse_det
@@ -186,18 +132,6 @@ def hankel_section_inverse_det(
             ConvergenceWarning,
         )
     return refined
-
-
-def ln_det_hankel_reg_exact(beta, r: float, sign: int) -> complex:
-    """Closed form of log det(I +- H(u_{beta,r})):
-    ((1-r)/(1+r))^{+-b/2} (1-r^2)^{b^2/2}."""
-    b = beta_value(beta, BetaContext.FINITE)
-    check_sign(sign)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"need 0 <= r < 1, got {r}")
-    if r == 0.0:
-        return 0.0 + 0.0j
-    return sign * b / 2 * math.log((1 - r) / (1 + r)) + b * b / 2 * math.log(1 - r * r)
 
 
 def fredholm_det_hankel_reg(beta, r: float, sign: int) -> LogDet:

@@ -25,6 +25,7 @@ from scipy.special import loggamma, roots_jacobi
 from .errors import DomainError, SingularPointError
 from .expsum import CoeffSum, ExpSum, fit_even
 from .params import BetaContext, beta_value, is_near_nonpositive_integer, working_beta
+from .specfun import sin_pi
 
 
 class CircleKind(Enum):
@@ -124,7 +125,7 @@ def eval_line(s: LineSymbol, x):
         )
     if s.kind is LineKind.UHAT_EPS:
         return ((x - 1j * s.eps) / (x - 1j)) ** (-b) * ((x + 1j * s.eps) / (x + 1j)) ** b
-    return 1.0 - np.sin(np.pi * b) / np.cosh(np.pi * x)
+    return 1.0 - sin_pi(b) / np.cosh(np.pi * x)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def v_coeff_array(b: complex, k) -> np.ndarray:
     c = np.zeros(k.shape, dtype=complex)
     c_live = np.empty(m.shape, dtype=complex)
     c_live[direct] = np.where(md % 2, -1.0, 1.0) * np.exp(ln[direct] - loggamma(1 + b - md))
-    c_live[~direct] = -np.sin(np.pi * b) / np.pi * np.exp(ln[~direct] + loggamma(mr - b))
+    c_live[~direct] = -sin_pi(b) / np.pi * np.exp(ln[~direct] + loggamma(mr - b))
     c[live] = c_live
     return c.real if isinstance(working_beta(b), float) else c
 
@@ -191,16 +192,7 @@ def u_coeff_array(b: complex, k) -> np.ndarray:
         out = np.zeros(k.shape, dtype=np.result_type(bw))
         out[k == m] = (-1.0) ** (m % 2)
         return out
-    return _sin_pi(bw) / (np.pi * (bw - k))
-
-
-def _sin_pi(b):
-    """sin(pi b) to full relative accuracy near the integers too, as
-    (-1)^n sin(pi (b - n)) with n the integer nearest Re b (b - n is exact);
-    np.sin(np.pi * b) is off by about 4e-16 absolute there, which is 7e-10
-    relative at b = -1 + 1.8e-7."""
-    n = round(np.real(b))
-    return (-1.0) ** (n % 2) * np.sin(np.pi * (b - n))
+    return sin_pi(bw) / (np.pi * (bw - k))
 
 
 def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
@@ -266,7 +258,7 @@ def jump_coeff_sum(s: CircleSymbol, kmax: Optional[int] = None) -> CoeffSum:
     f = np.exp(-d * (m + 1 - b))
     if r < 1.0:
         f = f * _pow(-np.expm1(-d) / d, b) * _pow(-np.expm1(2.0 * math.log(r) - d), -b)
-    w = -_sin_pi(b) / np.pi * r ** (m + 1) * W * f
+    w = -sin_pi(b) / np.pi * r ** (m + 1) * W * f
     if r == 1.0:
         lead = u_coeff_array(b, np.arange(1, m + 1))
     else:
@@ -379,7 +371,7 @@ def cut_kernel(s: LineSymbol) -> ExpSum:
         raise DomainError(f"no branch-cut kernel for symbol kind {s.kind}")
     b = working_beta(beta_value(s.beta, BetaContext.KERNEL_FAMILY))
     eps = s.eps
-    pref = -np.sin(np.pi * b) / np.pi
+    pref = -sin_pi(b) / np.pi
     eta, W = cut_rule(eps, b)
     if s.kind is LineKind.VHAT_EPS:
         w = pref * W * _pow((eta + eps) / (1.0 + eta), b)
@@ -410,5 +402,5 @@ def sech_kernel(beta) -> ExpSum:
     exponential sum: one beta-free fit, fitted on first use, scaled."""
     b = working_beta(beta_value(beta, BetaContext.SECH))
     base = _sech_sum()
-    w = -np.sin(np.pi * b) / (2.0 * np.pi) * base.w_pos
+    w = -sin_pi(b) / (2.0 * np.pi) * base.w_pos
     return ExpSum(base.eta, w, w, base.interp, base.err)

@@ -22,7 +22,7 @@ from .expsum import ExpSum, expsum_logdet
 from .logdet import LogDet
 from .params import BetaContext, beta_value, check_sign, working_beta
 from .quadrature import QuadRule, gauss_rule
-from .specfun import ln_barnes_g
+from .specfun import sin_pi
 from .symbols import LineKind, LineSymbol, cut_kernel, cut_rule, sech_kernel
 
 _SUPPORTED = (LineKind.VHAT_EPS, LineKind.PHI, LineKind.UHAT_EPS)
@@ -97,51 +97,6 @@ def det_w2r(symbol: LineSymbol, R2: float, rule: Optional[QuadRule] = None) -> L
     return expsum_logdet(_kernel(symbol), rule or wh_rule(R2))
 
 
-def ln_akhiezer_kac_E(beta) -> complex:
-    """log of the R-independent constant for the sech symbol:
-    G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2) /
-    [G(1/2) G(3/2) G(3/2+b) G(1/2-b)]."""
-    b = beta_value(beta, BetaContext.SECH)
-    num = 2.0 * (
-        ln_barnes_g(1.5 + b / 2)
-        + ln_barnes_g(1.0 + b / 2)
-        + ln_barnes_g(1.0 - b / 2)
-        + ln_barnes_g(0.5 - b / 2)
-    )
-    den = (
-        ln_barnes_g(0.5)
-        + ln_barnes_g(1.5)
-        + ln_barnes_g(1.5 + b)
-        + ln_barnes_g(0.5 - b)
-    )
-    return num - den
-
-
-def akhiezer_kac_E(beta) -> complex:
-    """The constant itself (exp of ln_akhiezer_kac_E)."""
-    return complex(np.exp(ln_akhiezer_kac_E(beta)))
-
-
-def geometric_mean_log(symbol: LineSymbol) -> complex:
-    """(1/2pi) int log a(x) dx, the limit of the integral over [-X, X], in
-    closed form: -b for the zero/pole symbol, -b(1-eps) for its
-    regularization, -b/2 - b^2/2 for the sech symbol and 0 for the
-    regularized jump symbol, where the logs of the two factors
-    ((x -+ eps i)/(x -+ i))^{-+b} tend to -+b pi (eps - 1) (close the
-    contour in the half plane where the factor is analytic).  Any other
-    kind (the pure jump symbol) raises DomainError."""
-    b = complex(symbol.beta)
-    if symbol.kind is LineKind.VHAT_EPS:
-        return -b * (1.0 - symbol.eps)
-    if symbol.kind is LineKind.PHI:
-        return -b / 2.0 - b * b / 2.0
-    if symbol.kind is LineKind.VHAT:
-        return -b
-    if symbol.kind is LineKind.UHAT_EPS:
-        return 0j
-    raise DomainError(f"no geometric mean for symbol kind {symbol.kind}")
-
-
 def factor_product_logdet(beta, eps: float, R: float,
                           rule: Optional[QuadRule] = None) -> LogDet:
     """log det of the Nystrom discretization of W_R(a_-) W_R(a_+) for the
@@ -158,7 +113,7 @@ def factor_product_logdet(beta, eps: float, R: float,
     rule = rule or wh_rule(R)
     # cut representation of k_+ (supported on w > 0): W_q e^{-eta_q w}
     eta, W = cut_rule(eps, b)
-    W = -np.sin(np.pi * b) / np.pi * W
+    W = -sin_pi(b) / np.pi * W
     # composition term: g2(|x - y|) - A^T G A with A_qi = e^{-eta_q (R - x_i)},
     # g2(u) = sum_q' [sum_q G_qq'] e^{-eta_q' u}
     G = np.multiply.outer(W, W) / np.add.outer(eta, eta)

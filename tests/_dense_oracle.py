@@ -12,8 +12,13 @@ The library takes every Hankel section from the exponential sum of its
 coefficients as an r x r determinant; the oracles here build the N x N
 section from the closed-form coefficients of u_b or the FFT table of
 u_{b,r} and factor or solve it densely.  Keep N <= 2048.
+
+Each builder calls ``whdet.logdet.check_dense`` with the number of N x N
+arrays it holds at once before it allocates anything, so an order past
+the library's dense cap raises DomainError instead of exhausting memory.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,6 +33,7 @@ from whdet import (
     logdet,
     reg_coeff_table,
 )
+from whdet.logdet import check_dense
 from whdet.params import working_beta
 from whdet.symbols import u_coeff_array
 
@@ -37,6 +43,14 @@ def raw_cut_kernel(symbol) -> ExpSum:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExpSum, "compress", lambda self: self)
         return cut_kernel(symbol)
+
+
+def _sin_pi(b):
+    """sin(pi b) at full relative accuracy (mpmath), real for a real b; the
+    prefactor of every kernel here, which np.sin(np.pi * b) gets wrong by
+    about 4e-16 absolute, 6e-12 relative at b = 1 - 2e-5."""
+    s = complex(mpmath.sinpi(b))
+    return s.real if isinstance(b, float) else s
 
 
 def _cut_blocks(ker: ExpSum, xs, sign):
@@ -55,11 +69,15 @@ def _cut_blocks(ker: ExpSum, xs, sign):
 
 def _sech_blocks(beta, xs, sign):
     """k(x_i - x_j) + sign k(x_i + x_j) for the sech kernel."""
-    pref = -np.sin(np.pi * beta) / (2.0 * np.pi)
+    pref = -_sin_pi(beta) / (2.0 * np.pi)
     K = pref / np.cosh(np.subtract.outer(xs, xs) / 2.0)
     if sign:
         K += sign * pref / np.cosh(np.add.outer(xs, xs) / 2.0)
     return K
+
+
+def _itemsize(beta) -> int:
+    return np.result_type(working_beta(complex(beta))).itemsize
 
 
 def _with_identity(K, rule):
@@ -72,6 +90,8 @@ def _with_identity(K, rule):
 def dense_system(symbol, rule, sign):
     """I + sqrt(w_i) [k(x_i - x_j) + sign k(x_i + x_j)] sqrt(w_j); sign 0
     leaves the H-block out."""
+    # lower, upper, their two triangles and the W-block
+    check_dense("dense_system", len(rule), _itemsize(symbol.beta), 5)
     xs = rule.nodes
     if symbol.kind is LineKind.PHI:
         K = _sech_blocks(working_beta(complex(symbol.beta)), xs, sign)
@@ -90,10 +110,11 @@ def dense_w2r(symbol, rule):
 
 def dense_factor_product(beta, eps, R, rule):
     """The Nystrom matrix of W_R(a_-) W_R(a_+), assembled in full."""
+    check_dense("dense_factor_product", len(rule), _itemsize(beta), 5)  # as dense_system
     b = working_beta(complex(beta))
     xs = rule.nodes
     eta, W = cut_rule(eps, b)
-    W = -np.sin(np.pi * b) / np.pi * W
+    W = -_sin_pi(b) / np.pi * W
     G = np.multiply.outer(W, W) / np.add.outer(eta, eta)
     K = _cut_blocks(ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)), xs, 0)
     A = np.exp(-np.multiply.outer(eta, R - xs))
@@ -103,6 +124,8 @@ def dense_factor_product(beta, eps, R, rule):
 def dense_hankel(coeffs, start, stop):
     """I + H for H_{jk} = coeffs[j + k + 1], start <= j, k < stop; coeffs[0]
     is not read."""
+    # H, the identity and their sum
+    check_dense("dense_hankel", stop - start, np.asarray(coeffs).itemsize, 3)
     H = scipy.linalg.hankel(coeffs[2 * start + 1:start + stop + 1], coeffs[start + stop:2 * stop])
     return np.eye(stop - start, dtype=H.dtype) + H
 
@@ -120,6 +143,8 @@ def jump_coeffs(beta, kmax):
 def dense_section_inverse(beta, n, sign, N):
     """log det of the n x n block of (I +- H_N(u_{-beta}))^{-1} by a dense
     solve."""
+    # I +- H_N (three arrays while it is built), then it, the identity and the LU
+    check_dense("dense_section_inverse", N, _itemsize(beta), 3)
     A = dense_hankel(sign * jump_coeffs(-beta, 2 * N), 0, N)
     X = np.linalg.solve(A, np.eye(N, dtype=A.dtype)[:, :n])
     return logdet(X[:n, :])

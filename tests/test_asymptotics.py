@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from whdet import (
     AsymKind,
     AsymptoteSpec,
+    BetaContext,
     DomainError,
     LogDet,
     asymptote_log,
@@ -24,6 +27,7 @@ from whdet import (
     ln_c_beta,
     rel_exp_diff,
 )
+from whdet.params import _STRIPS, check_beta
 
 BETA_GRID = [0.1, -0.1, 0.25, -0.3, 0.2 + 0.15j]
 
@@ -63,6 +67,103 @@ class TestAsymptoteLog:
             AsymptoteSpec(AsymKind.CONTINUOUS_MINUS, 0.8)
         with pytest.raises(DomainError):
             AsymptoteSpec(AsymKind.CONTINUOUS_PLUS, -0.6)
+
+
+# --- the paper's formulas term by term, as the AsymKind comments state them --
+
+LN2, LN2PI = math.log(2.0), math.log(2.0 * math.pi)
+G = ln_barnes_g
+
+
+def _ln_e(b):
+    """ln E[phi_b] = ln G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2)
+    - ln G(1/2) G(3/2) G(3/2+b) G(1/2-b)."""
+    return (2 * (G(1.5 + b / 2) + G(1 + b / 2) + G(1 - b / 2) + G(0.5 - b / 2))
+            - (G(0.5) + G(1.5) + G(1.5 + b) + G(0.5 - b)))
+
+
+#: each kind: its strip, and its log-asymptote at scale s written out
+PAPER = {
+    AsymKind.CONTINUOUS_PLUS: (BetaContext.CONTINUOUS_PLUS, lambda b, s: (
+        -b * s + (b * b / 2 - b / 2) * math.log(s) + b / 2 * LN2PI
+        + (-b * b + b / 2) * LN2 + G(0.5) - G(0.5 + b))),
+    AsymKind.CONTINUOUS_MINUS: (BetaContext.CONTINUOUS_MINUS, lambda b, s: (
+        -b * s + (b * b / 2 + b / 2) * math.log(s) + b / 2 * LN2PI
+        + (-b * b - b / 2) * LN2 + G(1.5) - G(1.5 + b))),
+    AsymKind.DISCRETE_PLUS: (BetaContext.DISCRETE_PLUS, lambda b, n: (
+        (b * b / 2 - b / 2) * math.log(n) + b / 2 * LN2PI - b * b / 2 * LN2
+        + G(0.5) - G(0.5 + b))),
+    AsymKind.DISCRETE_MINUS: (BetaContext.DISCRETE_MINUS, lambda b, n: (
+        (b * b / 2 + b / 2) * math.log(n) + b / 2 * LN2PI - b * b / 2 * LN2
+        + G(1.5) - G(1.5 + b))),
+    AsymKind.W2R_CONT: (BetaContext.MATRIX, lambda b, S: (
+        -b * S + b * b * math.log(S / 2) + 2 * G(1 + b) - G(1 + 2 * b))),
+    AsymKind.T2N_DISCRETE: (BetaContext.MATRIX, lambda b, m: (
+        b * b * math.log(m) + 2 * G(1 + b) - G(1 + 2 * b))),
+    AsymKind.SECH: (BetaContext.SECH, lambda b, s: -s * (b / 2 + b * b / 2) + _ln_e(b)),
+    AsymKind.CBETA: (BetaContext.CONTINUOUS_MINUS, lambda b, s: (
+        b * b * LN2 + G(0.5) + G(1.5) + G(1.5 + b) + G(0.5 - b)
+        - 2 * (G(1.5 + b / 2) + G(1 + b / 2) + G(1 - b / 2) + G(0.5 - b / 2)))),
+}
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+FRACTION = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+IMAG = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+SCALE = st.floats(1.0, 1e4)
+#: the window of Re b drawn where a strip is unbounded: the discrete ladders
+#: (whose strip is the plane off -1/2, -3/2, ...) and MATRIX (Re b > -1/2)
+WINDOW = (-3.0, 3.0)
+#: how far draws keep from the strip edges and the ladder points, which are
+#: zeros of G in the formulas: ln_barnes_g raises ZeroError within 1e-12 of
+#: one, for a complex argument too, where the strips admit it
+EDGE = 1e-6
+
+
+def _beta(context, u, im):
+    """A beta of the strip at fraction u of its (windowed) width."""
+    lo, hi = _STRIPS.get(context, WINDOW)
+    lo, hi = max(lo, WINDOW[0]) + EDGE, min(hi, WINDOW[1]) - EDGE
+    b = complex(lo + u * (hi - lo), im)
+    assume(min(abs(b - (k + 0.5)) for k in range(-4, 0)) > EDGE)
+    return check_beta(b, context)
+
+
+def _tol(b, s):
+    """1e-12 plus two roundings of the term b s, which is about 1e4 at the
+    largest scales: two sums of the same terms in another order end up
+    apart by one unit in the last place of a number of that size."""
+    return 1e-12 + 2 * math.ulp(abs(b) * s)
+
+
+@pytest.mark.parametrize("kind", list(AsymKind), ids=lambda k: k.name)
+@PROPERTY
+@given(u=FRACTION, im=IMAG, scale=SCALE)
+def test_table_is_the_paper_formula(kind, u, im, scale):
+    context, formula = PAPER[kind]
+    b = _beta(context, u, im)
+    got = asymptote_log(AsymptoteSpec(kind, b), scale)
+    assert abs(got - formula(b, scale)) <= _tol(b, scale)
+
+
+@PROPERTY
+@given(u=FRACTION, im=IMAG, n=SCALE)
+def test_discrete_sum_rule(u, im, n):
+    # DISC+(n) + DISC-(n) = T2N(2n) on MATRIX, inside both ladder planes
+    b = _beta(BetaContext.MATRIX, u, im)
+    lhs = (asymptote_log(AsymptoteSpec(AsymKind.DISCRETE_PLUS, b), n)
+           + asymptote_log(AsymptoteSpec(AsymKind.DISCRETE_MINUS, b), n))
+    assert abs(lhs - asymptote_log(AsymptoteSpec(AsymKind.T2N_DISCRETE, b), 2 * n)) <= 1e-12
+
+
+@PROPERTY
+@given(u=FRACTION, im=IMAG, R=SCALE)
+def test_continuous_sum_rule(u, im, R):
+    # CONT+(R) + CONT-(R) = W2R_CONT(2R) on (-1/2, 1/2), where the strips meet
+    b = complex(-0.5 + EDGE + u * (1.0 - 2 * EDGE), im)
+    lhs = (asymptote_log(AsymptoteSpec(AsymKind.CONTINUOUS_PLUS, b), R)
+           + asymptote_log(AsymptoteSpec(AsymKind.CONTINUOUS_MINUS, b), R))
+    rhs = asymptote_log(AsymptoteSpec(AsymKind.W2R_CONT, b), 2 * R)
+    assert abs(lhs - rhs) <= _tol(b, 2 * R)
 
 
 class TestConvergenceTable:

@@ -17,7 +17,8 @@ from whdet import (
     rel_exp_diff,
     wh_rule,
 )
-from whdet.cli import CHECK_HEADER, CONTINUOUS_HEADER, DISCRETE_HEADER, main, parse_config
+from whdet.cli import (CHECK_HEADER, CONSTANTS_HEADER, CONTINUOUS_HEADER, DISCRETE_HEADER, main,
+                       parse_config)
 from whdet.errors import ConvergenceWarning, SingularMatrix
 
 
@@ -188,6 +189,20 @@ class TestConstants:
         assert abs(row["c_beta_re"] - 1.0) < 1e-12
         assert abs(row["const_discrete_plus_re"] - 1.0) < 1e-12
         assert abs(row["const_discrete_minus_re"] - 1.0) < 1e-12
+
+
+class TestStdout:
+    def test_json_to_stdout(self, capsys):
+        assert main(["--command", "constants", "--beta-re", "0.25", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["command"] == "constants"
+        assert doc["rows"][0]["beta_re"] == 0.25
+
+    def test_csv_to_stdout_starts_with_header(self, capsys):
+        assert main(["--command", "constants", "--beta-re", "0.25"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split(",") == CONSTANTS_HEADER
+        assert len(lines) == 2
 
 
 class TestReproducibility:

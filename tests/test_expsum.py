@@ -2,13 +2,17 @@
 the quasiseparable log-determinant behind every Wiener-Hopf route, against
 the dense N x N oracles of ``_dense_oracle``."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whdet import (
     BetaContext,
+    DomainError,
     ExpSum,
     LineKind,
     LineSymbol,
@@ -24,10 +28,13 @@ from whdet import (
     sech_kernel,
     wh_rule,
 )
+from whdet.logdet import _MAX_DENSE_BYTES, check_dense
 from whdet.params import _STRIPS
 
 from _dense_oracle import (
     dense_factor_product,
+    dense_hankel,
+    dense_section_inverse,
     dense_w2r,
     dense_wr_pm_hr,
     raw_cut_kernel,
@@ -177,3 +184,38 @@ def test_factor_product_matches_dense(u, im, R, eps):
     rule = wh_rule(R)
     got = factor_product_logdet(b, eps, R, rule=rule)
     assert rel_exp_diff(got, dense_factor_product(b, eps, R, rule)) <= 1e-12
+
+
+# --- the dense oracles refuse an order over the library's cap --------------
+
+def _rule(N):
+    """N nodes on [0, 2], O(N) to build."""
+    return QuadRule(np.linspace(0.5, 1.5, N), np.full(N, 1.0 / N), (0.0, 2.0))
+
+
+#: each oracle: the N x N arrays it holds at once, and a call at order N
+ORACLES = {
+    "dense_system": (5, lambda b, N: dense_wr_pm_hr(
+        LineSymbol(LineKind.VHAT_EPS, beta=b, eps=0.1), _rule(N), +1)),
+    "dense_factor_product": (5, lambda b, N: dense_factor_product(b, 0.1, 2.0, _rule(N))),
+    "dense_hankel": (3, lambda b, N: dense_hankel(
+        np.zeros(2 * N + 1, dtype=np.result_type(b)), 0, N)),
+    "dense_section_inverse": (3, lambda b, N: dense_section_inverse(b, 4, +1, N)),
+}
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("an allocation over the dense cap was reached")
+
+
+@pytest.mark.parametrize("beta, itemsize", [(0.3, 8), (0.3 + 0.1j, 16)])
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_dense_oracle_over_cap_raises_before_assembly(name, beta, itemsize, monkeypatch):
+    copies, call = ORACLES[name]
+    # the smallest order whose arrays pass the cap
+    N = math.isqrt(_MAX_DENSE_BYTES // (copies * itemsize)) + 1
+    check_dense(name, N - 1, itemsize, copies)
+    monkeypatch.setattr(np, "exp", _unreachable)
+    monkeypatch.setattr(scipy.linalg, "hankel", _unreachable)
+    with pytest.raises(DomainError, match=f"{name} of order {N} "):
+        call(beta, N)

@@ -3,6 +3,7 @@ the defining-product oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -10,13 +11,19 @@ from scipy.special import zeta
 import whdet
 from whdet import (
     ConstraintError,
+    KernelFamily,
+    KernelSpec,
     PoleError,
     ZeroError,
     barnes_ratio_asymptote,
     duplication_residual,
+    fourier_coeff_v,
+    kernel_eval,
     ln_barnes_g,
     ln_gamma,
+    sech_kernel,
 )
+from whdet.specfun import sin_pi
 
 from _specfun_reference import REFERENCE
 
@@ -160,3 +167,43 @@ class TestBarnesRatioAsymptote:
         gap4 = product_gap(10**4)
         assert gap4 < 5e-3
         assert product_gap(10**4) < product_gap(10**3)
+
+
+class TestSinPi:
+    """sin(pi b) to full relative accuracy near the integers, and the
+    prefactors that read it, against 40-digit mpmath."""
+
+    @staticmethod
+    def mp_sin_pi(b) -> complex:
+        with mpmath.workdps(40):
+            return complex(mpmath.sin(mpmath.pi * mpmath.mpc(b)))
+
+    @pytest.mark.parametrize("b", [1 + 1e-9, 2 - 1e-9, -1 + 1.8e-7, 3 + 1e-12 + 1e-9j, 0.3])
+    def test_against_mpmath(self, b):
+        want = self.mp_sin_pi(b)
+        assert abs(sin_pi(b) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("b", [1 + 1e-9, 2 - 1e-9])
+    def test_reflected_v_coefficient(self, b):
+        # k = 5 > 1 + b: the coefficient takes sin(pi b) through the reflection
+        with mpmath.workdps(40):
+            B = mpmath.mpf(b)
+            want = float(-mpmath.gamma(1 + 2 * B) * mpmath.rgamma(1 + B + 5)
+                         * mpmath.rgamma(1 + B - 5))
+        assert abs(fourier_coeff_v(b, 5) - want) <= 1e-14 * abs(want)
+
+    def test_sech_kernel_prefactor(self):
+        # the kernel is -(sin pi b)/(2 pi) times one beta-free fit
+        b = -1 + 1e-9
+        ratio = sech_kernel(b).w_pos / sech_kernel(-0.5).w_pos
+        want = -self.mp_sin_pi(b).real
+        assert np.max(np.abs(ratio - want)) <= 1e-14 * abs(want)
+
+    def test_sech_kernel_vanishes_at_minus_one(self):
+        assert np.all(sech_kernel(-1.0).w_pos == 0.0)
+
+    def test_cauchy_kernel_prefactor(self):
+        b, x, y = 1 - 1e-9, 0.3, 0.45
+        got = kernel_eval(KernelSpec(KernelFamily.K0, beta=b), x, y)
+        want = -self.mp_sin_pi(b).real / math.pi / (x + y)
+        assert abs(got - want) <= 1e-14 * abs(want)
