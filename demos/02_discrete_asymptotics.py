@@ -6,12 +6,13 @@ minus-sign analogue: the convergence table reports the deviation
 |ratio - 1| per n and the fitted decay exponent.
 """
 
-from whdet import AsymKind, AsymptoteSpec, convergence_table, d_n
+from whdet import AsymKind, AsymptoteSpec, convergence_table, d_n_minors
 
 beta = 0.25
 for sign, kind in ((+1, AsymKind.DISCRETE_PLUS), (-1, AsymKind.DISCRETE_MINUS)):
     spec = AsymptoteSpec(kind, beta)
-    values = [(float(n), d_n(beta, n, sign)) for n in (16, 32, 64, 128, 256, 512)]
+    minors = d_n_minors(beta, 512, sign)  # D_1 .. D_512 from one pass
+    values = [(float(n), minors[n - 1]) for n in (16, 32, 64, 128, 256, 512)]
     table = convergence_table(values, spec)
     print(f"\nsign {sign:+d} (beta = {beta}):")
     print(f"{'n':>6} {'deviation':>12} {'local exponent':>16}")

@@ -52,6 +52,7 @@ from .specfun import (
 from .structured import (
     RefinedLogDet,
     d_n,
+    d_n_minors,
     fredholm_det_hankel_reg,
     hankel,
     hankel_section_inverse_det,

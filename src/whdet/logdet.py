@@ -15,7 +15,8 @@ from scipy.linalg import lu_factor
 
 from .errors import DomainError, SingularMatrix
 
-_PIVOT_FLOOR = 1e-300
+#: smallest pivot magnitude a factorization accepts before it raises SingularMatrix
+PIVOT_FLOOR = 1e-300
 #: most bytes the square matrices of one dense route may take together
 _MAX_DENSE_BYTES = 2**31
 
@@ -88,7 +89,7 @@ def _factor(matrix):
     lu, piv = lu_factor(a, check_finite=False)
     diag = np.diag(lu)
     mags = np.abs(diag)
-    if not np.all(np.isfinite(mags)) or np.any(mags < _PIVOT_FLOOR):
+    if not np.all(np.isfinite(mags)) or np.any(mags < PIVOT_FLOOR):
         raise SingularMatrix("pivot magnitude below 1e-300")
     ln_abs = float(np.sum(np.log(mags)))
     if np.iscomplexobj(lu):

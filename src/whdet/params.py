@@ -3,8 +3,8 @@
 This module is the only place where a strip of the beta plane is written.
 Each public entry point reads beta once, by ``beta_value(beta, context)``,
 so a beta outside its route's strip, NaN included, raises DomainError
-before any work.  Strips are open intervals of Re b; upper-case entry
-points are AsymptoteSpec kinds.
+before any work.  Strips are open intervals of Re b, less EXCLUSION_TOL at
+each finite end; upper-case entry points are AsymptoteSpec kinds.
 
 MATRIX            Re b > -1/2         fourier_coeff_v, d_n, W2R_CONT, T2N_DISCRETE
 SECH              (-3/2, 1/2)         LineSymbol(PHI), sech_kernel, ln_akhiezer_kac_E, SECH,
@@ -65,19 +65,14 @@ _STRIPS = {
 _LADDERS = {BetaContext.DISCRETE_PLUS: -0.5, BetaContext.DISCRETE_MINUS: -1.5}
 
 
-def _near_half_integer_ladder(x: float, start: float) -> bool:
-    """True if x is within EXCLUSION_TOL of start, start-1, start-2, ..."""
-    if x > start + EXCLUSION_TOL:
-        return False
-    k = round(start - x)
-    return k >= 0 and abs(x - (start - k)) <= EXCLUSION_TOL
-
-
 def check_beta(value: complex, context: BetaContext) -> complex:
     """Validate a beta value against a context strip; return it as complex.
 
     Raises DomainError when the value is not finite, outside the strip or
-    on an excluded pole/zero ladder.
+    on an excluded pole/zero ladder.  A finite strip end and a ladder point
+    (in the complex plane) exclude EXCLUSION_TOL around them, the distance
+    within which ``ln_barnes_g`` reports a zero of G: the formulas of a
+    strip have their zeros of G at its ends and ladder points.
     """
     b = complex(value)
     re = b.real
@@ -86,10 +81,11 @@ def check_beta(value: complex, context: BetaContext) -> complex:
     strip = _STRIPS.get(context)
     if strip is not None:
         lo, hi = strip
-        if not lo < re < hi:
+        if not lo + EXCLUSION_TOL < re < hi - EXCLUSION_TOL:
             raise DomainError(
-                f"Re beta = {re:g} outside the {context.name} strip ({lo:g}, {hi:g})")
-    elif b.imag == 0.0 and _near_half_integer_ladder(re, _LADDERS[context]):
+                f"Re beta = {re:g} outside the {context.name} strip ({lo:g}, {hi:g})"
+                f" less {EXCLUSION_TOL:g} at its ends")
+    elif is_near_nonpositive_integer(b - _LADDERS[context]):
         start = _LADDERS[context]
         raise DomainError(
             f"beta={value!r} lies on the excluded set {start:g}, {start - 1:g}, ...")

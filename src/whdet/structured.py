@@ -3,11 +3,14 @@
 The determinants of T_n(v) +- H_n(v) admit finite-n products of Barnes
 G-values (``asymptotics.d_n_exact``); the blocks of the inverse of an
 infinite Hankel operator give the same numbers through a completely
-different route, which is what most of the tests exploit.  ``d_n`` is a
-dense LU; the Hankel operators of u_b and u_{b,r} are never formed: their
-coefficients are exponential sums, and every section of them is an r x r
-determinant (``expsum.hankel_logdet``) at any truncation, infinity
-included.
+different route, which is what most of the tests exploit.  ``d_n`` never
+forms T_n +- H_n: it is the Gram matrix of Chebyshev polynomials of the
+third (+) or fourth (-) kind, and one pass of the modified Chebyshev
+algorithm over its modified moments gives every leading minor in O(n^2)
+time and O(n) memory.  The Hankel operators of u_b and u_{b,r} are never
+formed either: their coefficients are exponential sums, and every section
+of them is an r x r determinant (``expsum.hankel_logdet``) at any
+truncation, infinity included.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceWarning, DomainError
+from .errors import ConvergenceWarning, DomainError, SingularMatrix
 from .expsum import hankel_logdet
-from .logdet import LogDet, check_dense, logdet
+from .logdet import PIVOT_FLOOR, LogDet
 from .params import BetaContext, beta_value, check_sign
 from .symbols import CircleKind, CircleSymbol, jump_coeff_sum, v_coeff_array
 
@@ -42,25 +45,84 @@ def hankel(coeffs, n: int) -> np.ndarray:
     return scipy.linalg.hankel(c[:n], c[n - 1:])
 
 
-def _v_coeff_array(b: complex, n: int) -> np.ndarray:
-    """The coefficients k = -(2n-1) .. 2n-1 of v_b for a validated beta."""
-    return v_coeff_array(b, np.arange(-(2 * n - 1), 2 * n))
+def _gram_pivots(m: np.ndarray, sign: int) -> np.ndarray:
+    """sigma_kk, k < len(m) // 2, from the modified moments m_l, l < len(m).
+
+    The basis p_l is Chebyshev's of the third (sign +1) or fourth (-1)
+    kind: x p_l = (p_{l+1} + p_{l-1})/2 for l >= 1, x p_0 = (p_1 + sign p_0)/2.
+    The modified Chebyshev algorithm (Gautschi, Orthogonal Polynomials,
+    2004, sec. 2.1.7) runs on the mixed moments sigma_{k,l} = <pi_k, p_l>
+    of the orthogonal polynomials pi_k, normalized like p_k to leading
+    coefficient 2^k, so that sigma_kk = <pi_k, pi_k> stays O(1):
+
+        f_k = sigma_kk / sigma_{k-1,k-1},
+        alpha_k = (sigma_{k,k+1} - f_k sigma_{k-1,k}) / (2 sigma_kk),
+        sigma_{k+1,l} = sigma_{k,l+1} + sigma_{k,l-1} - 2 alpha_k sigma_{k,l}
+                        - f_k sigma_{k-1,l},
+
+    with sigma_{-1,l} = 0 and alpha_0 = (m_1 + sign m_0)/(2 m_0).  The Gram
+    matrix of p_0 .. p_{k-1} is unit-triangularly congruent to
+    diag(sigma_00 .. sigma_{k-1,k-1}), so its determinant is their product.
+    Two rows of sigma live at a time, in m's dtype.
+    """
+    n = len(m) // 2
+    pivots = np.empty(n, dtype=m.dtype)
+    cur, prev = m.copy(), np.zeros_like(m)  # sigma_{k,.} and sigma_{k-1,.}
+    for k in range(n):
+        s = cur[k]
+        if not PIVOT_FLOOR <= abs(s) < math.inf:
+            raise SingularMatrix(f"Gram pivot {k} of magnitude {abs(s):.3g}")
+        pivots[k] = s
+        if k == n - 1:
+            break
+        if k == 0:
+            f, alpha = 0.0, (cur[1] + sign * cur[0]) / (2.0 * s)
+        else:
+            f = s / s_prev
+            alpha = (cur[k + 1] - f * prev[k]) / (2.0 * s)
+        lo, hi = k + 1, 2 * n - k - 1  # sigma_{k+1,l} for l = k+1 .. 2n-k-2
+        new = prev[lo:hi]
+        new *= -f
+        new += cur[lo + 1:hi + 1]
+        new += cur[lo - 1:hi - 1]
+        new -= (2.0 * alpha) * cur[lo:hi]
+        prev, cur, s_prev = cur, prev, s
+    return pivots
 
 
-def d_n(beta, n: int, sign: int) -> LogDet:
-    """log det[T_n(v_beta) +- H_n(v_beta)] by dense LU (matrix route);
-    real coefficients and a real LU for a real beta."""
+def _minor_logs(beta, n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """ln |d_k| and arg d_k, k = 1 .. n, as two arrays (see ``d_n_minors``)."""
     b = beta_value(beta, BetaContext.MATRIX)
     check_sign(sign)
     if n < 1:
         raise DomainError("n must be positive")
-    c = _v_coeff_array(b, n)
-    # T_n, H_n and the LU's copy of their sum
-    check_dense("d_n", n, c.itemsize, 3)
-    off = 2 * n - 1  # c[off + k] is the coefficient k
-    A = scipy.linalg.toeplitz(c[off:off + n], c[off::-1][:n])       # c_{j-k}
-    A += sign * scipy.linalg.hankel(c[off + 1:off + n + 1], c[off + n:])  # c_{j+k+1}
-    return logdet(A)
+    a = v_coeff_array(b, np.arange(2 * n + 1))
+    pivots = _gram_pivots(a[:-1] + sign * a[1:], sign)
+    ln_abs = np.cumsum(np.log(np.abs(pivots)))
+    if np.iscomplexobj(pivots):
+        return ln_abs, np.cumsum(np.angle(pivots))
+    return ln_abs, math.pi * np.cumsum(pivots < 0)
+
+
+def d_n_minors(beta, n: int, sign: int) -> list[LogDet]:
+    """log det[T_k(v_beta) +- H_k(v_beta)] for every k = 1 .. n, from one
+    O(n^2) pass in O(n) memory; real arithmetic for a real beta.
+
+    For the even symbol v_beta, (T_n +- H_n)_{jk} = a_{j-k} +- a_{j+k+1}
+    is the Gram matrix of the Chebyshev polynomials of the third (+) or
+    fourth (-) kind, whose modified moments are m_l = a_l +- a_{l+1}; the
+    k-th minor is the product of the first k pivots of ``_gram_pivots``.
+    Raises SingularMatrix when a pivot is not finite or falls below
+    ``logdet.PIVOT_FLOOR``.
+    """
+    ln_abs, arg = _minor_logs(beta, n, sign)
+    return [LogDet(x, y) for x, y in zip(ln_abs.tolist(), arg.tolist())]
+
+
+def d_n(beta, n: int, sign: int) -> LogDet:
+    """log det[T_n(v_beta) +- H_n(v_beta)]: the last of ``d_n_minors``."""
+    ln_abs, arg = _minor_logs(beta, n, sign)
+    return LogDet(float(ln_abs[-1]), float(arg[-1]))
 
 
 #: ratio of the fine to the coarse truncation of hankel_section_inverse_det

@@ -1,4 +1,5 @@
-"""Dense N x N oracles for the Wiener-Hopf routes and the Hankel sections.
+"""Dense N x N oracles for the Wiener-Hopf routes, the Hankel sections and
+the Toeplitz+-Hankel determinants.
 
 The library takes every Wiener-Hopf determinant from a compressed
 exponential sum through the quasiseparable recurrence of
@@ -12,6 +13,10 @@ The library takes every Hankel section from the exponential sum of its
 coefficients as an r x r determinant; the oracles here build the N x N
 section from the closed-form coefficients of u_b or the FFT table of
 u_{b,r} and factor or solve it densely.  Keep N <= 2048.
+
+The library takes det(T_n +- H_n)(v_b) from the modified Chebyshev
+recurrence on its moments; ``dense_d_n`` assembles the matrix and factors
+it with a pivoted LU.
 
 Each builder calls ``whdet.logdet.check_dense`` with the number of N x N
 arrays it holds at once before it allocates anything, so an order past
@@ -35,7 +40,7 @@ from whdet import (
 )
 from whdet.logdet import check_dense
 from whdet.params import working_beta
-from whdet.symbols import u_coeff_array
+from whdet.symbols import u_coeff_array, v_coeff_array
 
 
 def raw_cut_kernel(symbol) -> ExpSum:
@@ -148,3 +153,16 @@ def dense_section_inverse(beta, n, sign, N):
     A = dense_hankel(sign * jump_coeffs(-beta, 2 * N), 0, N)
     X = np.linalg.solve(A, np.eye(N, dtype=A.dtype)[:, :n])
     return logdet(X[:n, :])
+
+
+def dense_d_n(beta, n, sign):
+    """log det[T_n(v_beta) +- H_n(v_beta)] by a pivoted LU of the assembled
+    matrix; real for a real beta."""
+    b = working_beta(complex(beta))
+    # T_n, H_n and the LU's copy of their sum
+    check_dense("dense_d_n", n, np.result_type(b).itemsize, 3)
+    c = v_coeff_array(complex(beta), np.arange(-(2 * n - 1), 2 * n))
+    off = 2 * n - 1  # c[off + k] is the coefficient k
+    A = scipy.linalg.toeplitz(c[off:off + n], c[off::-1][:n])       # c_{j-k}
+    A += sign * scipy.linalg.hankel(c[off + 1:off + n + 1], c[off + n:])  # c_{j+k+1}
+    return logdet(A)

@@ -114,8 +114,7 @@ SCALE = st.floats(1.0, 1e4)
 #: (whose strip is the plane off -1/2, -3/2, ...) and MATRIX (Re b > -1/2)
 WINDOW = (-3.0, 3.0)
 #: how far draws keep from the strip edges and the ladder points, which are
-#: zeros of G in the formulas: ln_barnes_g raises ZeroError within 1e-12 of
-#: one, for a complex argument too, where the strips admit it
+#: zeros of G in the formulas: check_beta rejects a beta within 1e-12 of one
 EDGE = 1e-6
 
 

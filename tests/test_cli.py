@@ -40,6 +40,9 @@ class TestConfig:
     def test_bad_knobs_exit_2(self):
         assert main(["--command", "verify", "--eps", "-1"]) == 2
 
+    def test_n_range_below_one_exit_2(self):
+        assert main(["--command", "sweep-discrete", "--n-range", "0:8:4"]) == 2
+
     def test_unknown_command_exit_2(self):
         assert main(["--command", "frobnicate"]) == 2
 
@@ -119,6 +122,28 @@ class TestSweeps:
                 for sign in (+1, -1) for n in (8, 16, 24)]
         assert [row["error"] for row in rows] == want
         assert all(0.0 < e < 1e-8 for e in want)
+
+    def test_discrete_sweep_from_one_pass(self, tmp_path, monkeypatch):
+        from whdet import structured
+        calls = []
+        minors = structured.d_n_minors
+
+        def counted(beta, n, sign):
+            calls.append((beta, n, sign))
+            return minors(beta, n, sign)
+
+        monkeypatch.setattr(structured, "d_n_minors", counted)
+        out = tmp_path / "d.json"
+        b = 0.3 + 0.1j
+        assert main(["--command", "sweep-discrete", "--beta-re", "0.3", "--beta-im", "0.1",
+                     "--n-range", "16:256:48", "--out", str(out), "--format", "json"]) == 0
+        assert calls == [(b, 256, +1), (b, 256, -1)]
+        rows = json.loads(out.read_text())["rows"]
+        want = [d_n(b, n, sign) for sign in (+1, -1) for n in range(16, 257, 48)]
+        assert len(rows) == len(want)
+        for row, ld in zip(rows, want):
+            assert abs(row["value_ln_abs"] - ld.ln_abs) <= 1e-14
+            assert abs(row["value_arg"] - ld.arg) <= 1e-14
 
     def test_sech_lab(self, tmp_path):
         out = tmp_path / "s.csv"

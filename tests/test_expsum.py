@@ -29,7 +29,7 @@ from whdet import (
     wh_rule,
 )
 from whdet.logdet import _MAX_DENSE_BYTES, check_dense
-from whdet.params import _STRIPS
+from whdet.params import EXCLUSION_TOL, _STRIPS
 
 from _dense_oracle import (
     dense_factor_product,
@@ -140,7 +140,7 @@ def _beta(context, u, im):
     if im:
         lo, hi = lo + COMPLEX_EDGE_MARGIN, hi - COMPLEX_EDGE_MARGIN
     b = lo + u * (hi - lo)
-    if not lo < b < hi:  # u within rounding of 0 or 1
+    if not lo + EXCLUSION_TOL < b < hi - EXCLUSION_TOL:  # u too near 0 or 1
         b = 0.5 * (lo + hi)
     return complex(b, im) if im else b
 

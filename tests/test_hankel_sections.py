@@ -30,7 +30,7 @@ from whdet import (
     rel_exp_diff,
 )
 from whdet.expsum import hankel_logdet
-from whdet.params import _STRIPS
+from whdet.params import EXCLUSION_TOL, _STRIPS
 from whdet.structured import SECTION_RATIO
 from whdet.symbols import jump_coeff_sum, u_coeff_array
 
@@ -47,7 +47,7 @@ def _beta(context, u, im):
     lo, hi = _STRIPS[context]
     hi = min(hi, lo + REG_WIDTH)
     b = lo + u * (hi - lo)
-    if not lo < b < hi:  # u within rounding of 0 or 1
+    if not lo + EXCLUSION_TOL < b < hi - EXCLUSION_TOL:  # u too near 0 or 1
         b = 0.5 * (lo + hi)
     return complex(b, im) if im else b
 

@@ -1,5 +1,7 @@
 """Admissibility guards for the singularity exponent."""
 
+import math
+
 import pytest
 
 from whdet import (
@@ -15,6 +17,7 @@ from whdet import (
     LineKind,
     LineSymbol,
     TruncatedWH,
+    asymptote_log,
     check_beta,
     cut_kernel,
     d_n,
@@ -40,6 +43,7 @@ from whdet import (
     wh_rule,
     wienerhopf,
 )
+from whdet.cli import main
 
 
 class TestStrips:
@@ -73,6 +77,37 @@ class TestStrips:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             check_beta(float("nan"), BetaContext.KERNEL_FAMILY)
+
+
+#: betas within a rounding of a strip end or a ladder point, where a Barnes G
+#: of the asymptote vanishes; accepted once, then ln_barnes_g raised ZeroError
+AT_A_ZERO_OF_G = [
+    (AsymKind.CONTINUOUS_PLUS, -0.5 + 2.2e-16),
+    (AsymKind.SECH, 0.5 - 2.2e-16),
+    (AsymKind.DISCRETE_PLUS, -0.5 + 1e-14 + 1e-14j),
+]
+
+
+class TestStripEdges:
+    @pytest.mark.parametrize("kind, beta", AT_A_ZERO_OF_G)
+    def test_rejected_as_domain_error(self, kind, beta):
+        with pytest.raises(DomainError):
+            AsymptoteSpec(kind, beta)
+
+    @pytest.mark.parametrize("kind, beta", AT_A_ZERO_OF_G)
+    def test_accepted_beyond_the_tolerance(self, kind, beta):
+        # 2e-12 from the excluded point: every Barnes G stays off its zeros
+        inward = -2e-12 if kind is AsymKind.SECH else 2e-12
+        spec = AsymptoteSpec(kind, complex(beta).real + inward + 1j * complex(beta).imag)
+        assert math.isfinite(abs(asymptote_log(spec, 10.0)))
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "sech-lab", "--beta-re", repr(0.5 - 2.2e-16), "--r-range", "8:8:1"],
+        ["--command", "constants", "--beta-re", repr(-0.5 + 1e-14), "--beta-im", "1e-14"],
+    ])
+    def test_cli_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "invalid config" in capsys.readouterr().err
 
 
 class TestBetaParam:
@@ -208,7 +243,7 @@ def test_strip_table(name, monkeypatch):
     call(BetaParam(inside, BetaContext.FINITE))
     monkeypatch.setattr(wienerhopf, "expsum_logdet", _unreachable)
     monkeypatch.setattr(expsum, "lu_logdet", _unreachable)
-    monkeypatch.setattr(structured, "logdet", _unreachable)
+    monkeypatch.setattr(structured, "_gram_pivots", _unreachable)
     monkeypatch.setattr(expsum, "logdet", _unreachable)
     for bad in (float("nan"), complex(0.3, float("nan")), *edges):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Real beta, real arithmetic: every dense route factors a real matrix for a
-real beta, and agrees with the complex route forced by a 1e-200 imaginary
-part (to 1e-12, or as well as the problem's conditioning allows).
+real beta (d_n runs its recurrence on real moments instead), and agrees
+with the complex route forced by a 1e-200 imaginary part (to 1e-12, or as
+well as the problem's conditioning allows).
 
 Betas are drawn over each route's open strip, read from the one table in
 ``whdet.params``.  Determinants are compared with ``rel_exp_diff``: a real
@@ -38,7 +39,7 @@ from whdet import (
 )
 from whdet import expsum, fredholm, structured
 from whdet.logdet import logdet, lu_logdet
-from whdet.params import _STRIPS
+from whdet.params import EXCLUSION_TOL, _STRIPS
 
 #: how far into an unbounded strip (MATRIX: Re b > -1/2) betas are drawn
 _UNBOUNDED_WIDTH = 3.0
@@ -85,8 +86,8 @@ ROUTES = {
 }
 #: distance from the strip edge of the 1e-12 agreement draws.  As b -> -1/2,
 #: T_n + H_n(v_b) nears rank one (c_0 ~ 1/(1+2b)).  The two routes' coefficients
-#: share their real parts, but a real and a complex LU round differently, and
-#: the conditioning turns that into about 7e-17/(1+2b) (2e-10 at 1+2b = 3.6e-7).
+#: share their real parts, but real and complex arithmetic round differently,
+#: and the conditioning turns that into 1.1e-9 at 1+2b = 3.6e-7 (n = 6).
 #: test_d_n_near_matrix_edge covers that end instead.
 EDGE_MARGIN = {"d_n+": 5e-3, "d_n-": 5e-3}
 
@@ -99,7 +100,7 @@ def _in_strip(context, u, margin=0.0):
     lo, hi = _STRIPS[context]
     lo, hi = lo + margin, min(hi, lo + _UNBOUNDED_WIDTH) - margin
     b = lo + u * (hi - lo)
-    if not lo < b < hi:  # u within rounding of 0 or 1
+    if not lo + EXCLUSION_TOL < b < hi - EXCLUSION_TOL:  # u too near 0 or 1
         b = 0.5 * (lo + hi)
     return b
 
@@ -111,10 +112,20 @@ def _record_dtypes(mp, seen):
             return factor(matrix)
         return recording
 
-    for module in (structured, fredholm, expsum):
+    for module in (fredholm, expsum):
         mp.setattr(module, "logdet", recorder(logdet))
     # the Wiener-Hopf routes factor one panel at a time
     mp.setattr(expsum, "lu_logdet", recorder(lu_logdet))
+    # d_n factors no matrix: its moments and its sigma pivots (the sigma
+    # rows take the moments' dtype)
+    gram_pivots = structured._gram_pivots
+
+    def recording_pivots(moments, sign):
+        pivots = gram_pivots(moments, sign)
+        seen.extend((moments.dtype, pivots.dtype))
+        return pivots
+
+    mp.setattr(structured, "_gram_pivots", recording_pivots)
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))

@@ -2,11 +2,14 @@
 closed forms for the determinant family."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy.special import loggamma
 
@@ -17,6 +20,7 @@ from whdet import (
     SingularMatrix,
     d_n,
     d_n_exact,
+    d_n_minors,
     det_tn_exact,
     fourier_coeff_u,
     fourier_coeff_v,
@@ -28,10 +32,11 @@ from whdet import (
     rel_exp_diff,
     toeplitz,
 )
-from whdet.logdet import _MAX_DENSE_BYTES, check_dense
+from whdet import structured
 from whdet.params import is_near_nonpositive_integer
-from whdet.structured import _v_coeff_array
 from whdet.symbols import u_coeff_array, v_coeff_array
+
+from _dense_oracle import dense_d_n
 
 
 def cofactor_det(a):
@@ -218,7 +223,7 @@ class TestCoefficientArrays:
     def test_v_array_matches_scalar(self, beta):
         n = 40
         ks = range(-(2 * n - 1), 2 * n)
-        got = _v_coeff_array(complex(beta), n)
+        got = v_coeff_array(complex(beta), np.arange(-(2 * n - 1), 2 * n))
         assert got.dtype == (np.float64 if complex(beta).imag == 0 else np.complex128)
         for want in ([fourier_coeff_v(beta, k) for k in ks],
                      [scalar_v_coeff(complex(beta), k) for k in ks]):
@@ -254,7 +259,7 @@ class TestCoefficientArrays:
 
     def test_v_array_integer_beta_is_finite_difference(self):
         # (2 - 2 cos theta)^2 = 6 - 4(t + 1/t) + (t^2 + 1/t^2)
-        got = _v_coeff_array(2.0, 3)
+        got = v_coeff_array(2.0, np.arange(-5, 6))
         want = np.array([0, 0, 0, 1, -4, 6, -4, 1, 0, 0, 0])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -329,17 +334,96 @@ class TestHankelRegularized:
         assert abs(got.ln_abs - want) < 1e-8
 
 
-def _unreachable(*args, **kwargs):
-    raise AssertionError("an allocation over the dense cap was reached")
+def mp_d_n(b: complex, n: int, sign: int) -> complex:
+    """The Barnes-G product of ``d_n_exact`` at 40 digits: the closed form
+    without its cancellation error (1e-9 at n = 2048)."""
+    h = 0.5 if sign > 0 else 1.5
+    with mp.workdps(40):
+        b = mp.mpc(b)
+
+        def ln_g(z):
+            return mp.log(mp.barnesg(z))
+
+        k = b / 2 * mp.log(2 * mp.pi) - b * b / 2 * mp.log(2) + ln_g(h) - ln_g(h + b)
+        num = ln_g(n + 2 - h) + ln_g(n + 1) + ln_g(n + 1 + b) + ln_g(n + h + b)
+        den = ln_g(n + 0.5 + b / 2) + 2 * ln_g(n + 1 + b / 2) + ln_g(n + 1.5 + b / 2)
+        return complex(k + num - den)
 
 
-class TestDenseCap:
-    @pytest.mark.parametrize("beta, itemsize", [(0.3, 8), (0.3 + 0.1j, 16)])
-    def test_d_n_over_cap_raises_before_assembly(self, beta, itemsize, monkeypatch):
-        # the smallest n whose T_n, H_n and LU copy (3 n^2 entries) pass the cap
-        n = math.isqrt(_MAX_DENSE_BYTES // (3 * itemsize)) + 1
-        check_dense("d_n", n - 1, itemsize, 3)
-        monkeypatch.setattr(scipy.linalg, "toeplitz", _unreachable)
-        monkeypatch.setattr(scipy.linalg, "hankel", _unreachable)
-        with pytest.raises(DomainError, match="d_n of order"):
-            d_n(beta, n, +1)
+def conditioned_tol(order: int, b: complex) -> float:
+    """1e-13 n^{2|Re b|}: the zero (Re b > 0) or pole (Re b < 0) of v_b of
+    order 2|Re b| at theta = 0 drives an extreme eigenvalue of an order-n
+    section like n^{-2 Re b}, and every route's rounding with it.  Over 300
+    draws of the strip below, n <= 64: at most 2.7e-14 n^{2|Re b|} from the
+    LU (both routes at 1e-9 and beyond once Re b > 2)."""
+    return 1e-13 * order ** (2.0 * abs(b.real))
+
+
+#: the MATRIX strip Re b > -1/2, kept 5e-3 from its edge (c_0 ~ 1/(1 + 2b)),
+#: up to Re b = 2.5, with |Im b| < 1/2
+MATRIX_BETA = st.builds(complex, st.floats(-0.495, 2.5), st.floats(-0.5, 0.5))
+SIGN = st.sampled_from([+1, -1])
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestDnRecurrence:
+    """d_n from the modified Chebyshev recurrence against the dense LU, the
+    Toeplitz doubling identity and the 40-digit Barnes-G product."""
+
+    @ORACLE
+    @given(b=MATRIX_BETA, n=st.integers(1, 64), sign=SIGN)
+    def test_against_dense_lu(self, b, n, sign):
+        assert rel_exp_diff(d_n(b, n, sign), dense_d_n(b, n, sign)) <= conditioned_tol(n, b)
+
+    @ORACLE
+    @given(b=MATRIX_BETA, n=st.integers(1, 32))
+    def test_toeplitz_doubling(self, b, n):
+        # det T_2n = D_n^+ D_n^-, T_2n assembled and factored densely
+        c = v_coeff_array(b, np.arange(2 * n))
+        t2n = logdet(scipy.linalg.toeplitz(c, c))
+        assert rel_exp_diff(d_n(b, n, +1) + d_n(b, n, -1), t2n) <= conditioned_tol(2 * n, b)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(b=st.builds(complex, st.floats(-0.35, 0.35), st.floats(-0.5, 0.5)))
+    def test_against_mpmath_at_2048(self, b):
+        # 2.5e-11 at most over 60 draws.  Nearer the strip's ends the bound
+        # no longer holds: the recurrence's own rounding grows like n^2 eps
+        # (1.3e-10 at b = 0.47, exact coefficients) and v_coeff_array loses
+        # 1.6e-11 relative at |k| ~ 4096 (1e-10 in the LU too at b = -0.4)
+        for sign in (+1, -1):
+            got = d_n(b, 2048, sign)
+            assert abs(np.exp(got.log - mp_d_n(b, 2048, sign)) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.3, 0.2 + 0.15j])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_past_the_old_dense_cap(self, beta, sign):
+        # n = 9460 was one past the LU's order cap for a real beta (9459;
+        # 6688 complex): its three n x n arrays would have taken 2 GiB.  The
+        # recurrence keeps a few length-2n rows.  Measured: 1.1e-10 to
+        # 1.8e-10 off, a peak of 244 bytes per order
+        n = 9460
+        tracemalloc.start()
+        try:
+            got = d_n(beta, n, sign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(np.exp(got.log - mp_d_n(beta, n, sign)) - 1.0) <= 5e-9
+        assert peak < 1024 * n  # one n x n float64 array takes 8n bytes per order
+
+    @pytest.mark.parametrize("beta", [0.3, -0.45, 0.2 + 0.15j])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_minors_from_one_pass(self, beta, sign):
+        minors = d_n_minors(beta, 40, sign)
+        assert len(minors) == 40
+        assert minors[-1] == d_n(beta, 40, sign)
+        for n in (1, 2, 17, 39):
+            assert rel_exp_diff(minors[n - 1], dense_d_n(beta, n, sign)) <= 1e-13
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_rank_one_raises_singular(self, sign, monkeypatch):
+        # every coefficient 1: T_n + H_n = 2 (1 1 ... 1)^T (1 1 ... 1) has rank
+        # one, T_n - H_n = 0
+        monkeypatch.setattr(structured, "v_coeff_array", lambda b, k: np.ones(len(k)))
+        with pytest.raises(SingularMatrix):
+            d_n(0.3, 4, sign)
