@@ -47,6 +47,7 @@ from .specfun import (
     barnes_ratio_asymptote,
     duplication_residual,
     ln_barnes_g,
+    ln_barnes_ratio,
     ln_gamma,
 )
 from .structured import (

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from whdet import (
@@ -19,6 +19,8 @@ from whdet import (
     c_beta,
     convergence_table,
     d_n,
+    d_n_exact,
+    det_tn_exact,
     finite_section_quotient,
     fredholm_det_hankel_reg,
     hankel_section_inverse_det,
@@ -28,6 +30,8 @@ from whdet import (
     rel_exp_diff,
 )
 from whdet.params import _STRIPS, check_beta
+
+from _barnes_oracle import mod_2pi_distance, mp_d_n, mp_det_tn
 
 BETA_GRID = [0.1, -0.1, 0.25, -0.3, 0.2 + 0.15j]
 
@@ -242,3 +246,53 @@ class TestDiscreteContinuousBridge:
                 warnings.simplefilter("ignore")
                 disc = hankel_section_inverse_det(-0.3, n, -1, N=2048)
             assert abs(cont.ln_abs - disc.value.ln_abs) < 2e-4, n
+
+
+#: |Re b| < 1/2, |Im b| < 1/2: the strip the finite-n products are drawn on
+CLOSED_BETA = st.builds(complex, st.floats(-0.499, 0.499), st.floats(-0.499, 0.499))
+#: n from 1 to 1e5, small orders drawn as often as large ones, so both
+#: sides of ``ln_barnes_ratio``'s switch at n = 12 are reached
+ORDER = st.one_of(st.integers(1, 64), st.integers(65, 10**5))
+SIGN = st.sampled_from([+1, -1])
+MPMATH = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestExactProductsAgainstMpmath:
+    """d_n_exact and det_tn_exact against their Barnes-G products at 40
+    digits, modulo 2 pi i.  The direct sum of eight ln G's near
+    n^2 ln(n)/2 was off by 1.5e-8 at n = 2048 and 3e-5 at n = 1e5; the
+    balanced expansion keeps every term O(1)."""
+
+    @MPMATH
+    @given(b=CLOSED_BETA, n=ORDER, sign=SIGN)
+    @example(b=1.7, n=43, sign=-1)
+    def test_d_n_exact(self, b, n, sign):
+        assert mod_2pi_distance(d_n_exact(b, n, sign).log, mp_d_n(b, n, sign)) <= 2e-12
+
+    @MPMATH
+    @given(b=CLOSED_BETA, n=ORDER)
+    @example(b=1.7, n=67)
+    def test_det_tn_exact(self, b, n):
+        assert mod_2pi_distance(det_tn_exact(b, n).log, mp_det_tn(b, n)) <= 2e-12
+
+    @pytest.mark.parametrize("n", [1, 8, 11, 12, 13, 14, 39, 40, 68, 2048, 10**5])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_beyond_the_strip(self, n, sign):
+        # b = 1.7: |x| up to 2.2 (3.4 in det T_n), so the direct sum up to
+        # n = 11 (13) and the expansion from |x|/n = 0.18 (0.24) down
+        assert mod_2pi_distance(d_n_exact(1.7, n, sign).log, mp_d_n(1.7, n, sign)) <= 2e-12
+        assert mod_2pi_distance(det_tn_exact(1.7, n).log, mp_det_tn(1.7, n)) <= 2e-12
+
+    @PROPERTY
+    @given(b=CLOSED_BETA, n=st.integers(12, 200), sign=SIGN)
+    def test_branch_is_the_direct_sums(self, b, n, sign):
+        # the imaginary part itself, not modulo 2 pi: the balanced expansion
+        # continues the product from real b as the sum of the eight
+        # accumulated-branch ln G's does (which loses ~1e-10 here)
+        h = 0.5 if sign > 0 else 1.5
+        direct = (G(h) - G(h + b) + (b / 2) * LN2PI - (b * b / 2) * LN2
+                  + G(n + 2 - h) + G(n + 1) + G(n + 1 + b) + G(n + h + b)
+                  - G(n + 0.5 + b / 2) - 2 * G(n + 1 + b / 2) - G(n + 1.5 + b / 2))
+        assert abs(d_n_exact(b, n, sign).log - direct) <= 1e-9
+        direct = 2 * G(1 + b) - G(1 + 2 * b) + G(1 + n) + G(1 + 2 * b + n) - 2 * G(1 + b + n)
+        assert abs(det_tn_exact(b, n).log - direct) <= 1e-9

@@ -36,6 +36,7 @@ from whdet import structured
 from whdet.params import is_near_nonpositive_integer
 from whdet.symbols import u_coeff_array, v_coeff_array
 
+from _barnes_oracle import mp_d_n
 from _dense_oracle import dense_d_n
 
 
@@ -332,22 +333,6 @@ class TestHankelRegularized:
         want = math.log((0.2 / 1.8) ** 0.15 * 0.36**0.045)
         got = fredholm_det_hankel_reg(0.3, 0.8, +1)
         assert abs(got.ln_abs - want) < 1e-8
-
-
-def mp_d_n(b: complex, n: int, sign: int) -> complex:
-    """The Barnes-G product of ``d_n_exact`` at 40 digits: the closed form
-    without its cancellation error (1e-9 at n = 2048)."""
-    h = 0.5 if sign > 0 else 1.5
-    with mp.workdps(40):
-        b = mp.mpc(b)
-
-        def ln_g(z):
-            return mp.log(mp.barnesg(z))
-
-        k = b / 2 * mp.log(2 * mp.pi) - b * b / 2 * mp.log(2) + ln_g(h) - ln_g(h + b)
-        num = ln_g(n + 2 - h) + ln_g(n + 1) + ln_g(n + 1 + b) + ln_g(n + h + b)
-        den = ln_g(n + 0.5 + b / 2) + 2 * ln_g(n + 1 + b / 2) + ln_g(n + 1.5 + b / 2)
-        return complex(k + num - den)
 
 
 def conditioned_tol(order: int, b: complex) -> float:

@@ -11,8 +11,17 @@ Barnes log uses the defining product
 summed to K terms plus Hurwitz-zeta tail corrections from the expansion
 k ln(1+z/k) - z + z^2/(2k) = sum_{m>=3} (-1)^{m+1} z^m / (m k^{m-1}),
 so it is an independent route from the package's asymptotic expansion.
-On Re z > 0 this product log is the analytic continuation from the
-positive real axis, which is the branch the package produces there.
+K grows with |z| (K >= 40 |z - 1|), so the tail series converges at every
+grid point.  Each principal log k ln(1+z/k) is analytic off z <= -k, so
+this product log is the analytic continuation from the positive real axis
+on the plane cut along z <= -1, taken from above on the cut itself: the
+branch the package produces there.
+
+The grid reaches both sides of the package's switch to the plain
+expansion at Re z = 10 (12.5, 40, 400) and the left half-plane, where its
+recursion shift takes the most steps (-4.5).
+
+Usage: python3 tools/gen_specfun_reference.py > tests/_specfun_reference.py
 """
 
 import mpmath as mp
@@ -23,20 +32,22 @@ GRID = [
     (0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (2.5, 0.0), (4.0, 0.0), (7.5, 0.0),
     (0.25, 0.0), (0.75, 0.0), (3.5, 2.0), (0.3, 0.2), (1.2, -0.7),
     (2.0, 3.0), (5.5, 1.5), (0.1, 1.0), (6.0, -2.5), (0.85, 0.35),
+    (-4.5, 0.0), (-4.5, 0.5), (12.5, 0.0), (12.5, 1.5), (40.0, -2.0), (400.0, 3.0),
 ]
 
-K_TERMS = 400
+K_MIN = 400
 M_MAX = 14
 
 
 def ln_barnes_product(z):
     z = mp.mpc(*z) if isinstance(z, tuple) else mp.mpc(z)
     w = z - 1  # ln G(z) = ln G(1 + w)
+    terms = max(K_MIN, 40 * int(mp.ceil(abs(w))))
     s = (w / 2) * mp.log(2 * mp.pi) - w * (w + 1) / 2 - mp.euler * w * w / 2
-    for k in range(1, K_TERMS + 1):
+    for k in range(1, terms + 1):
         s += k * mp.log(1 + w / k) - w + w * w / (2 * k)
     for m in range(3, M_MAX + 1):
-        tail = mp.zeta(m - 1, K_TERMS + 1)
+        tail = mp.zeta(m - 1, terms + 1)
         s += (-1) ** (m + 1) * w**m / m * tail
     return s
 
