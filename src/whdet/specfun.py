@@ -54,12 +54,11 @@ _ASYMP_RE = 10.0
 _BALANCED_N = 12
 _BALANCED_T = 0.25
 #: the series P(t) = sum_j (-1)^j t^j / ((j+1)(j+2)(j+3)), highest term
-#: first, cut where its first dropped term is below 1e-16 of the leading
-#: 1/6 for every |t| up to the bound
-_P_SERIES = tuple(
-    (bound, tuple((-1) ** j / ((j + 1) * (j + 2) * (j + 3)) for j in reversed(range(terms))))
-    for bound, terms in ((1e-4, 4), (1e-3, 5), (1e-2, 7), (0.05, 11), (0.1, 14), (_BALANCED_T, 22))
-)
+#: first, for |t| <= 1/100 and for |t| <= 1/4: each cut where its first
+#: dropped term is below 1e-16 of the leading 1/6
+_P_SHORT_T = 0.01
+_P_SHORT, _P_LONG = (tuple((-1) ** j / ((j + 1) * (j + 2) * (j + 3)) for j in reversed(range(terms)))
+                     for terms in (7, 22))
 
 
 def ln_gamma(z) -> complex:
@@ -95,9 +94,9 @@ def ln_barnes_g(z) -> complex:
         raise ZeroError(f"ln_barnes_g argument must be finite, got {z!r}")
     if is_near_nonpositive_integer(z):
         raise ZeroError(f"Barnes G vanishes at {z!r}")
-    # + 0.0 takes a -0.0 imaginary part to +0.0, so a negative real z lies
-    # on the upper side of every log's and loggamma's cut
-    z = z + 0.0
+    # -0.0 + 0.0 is +0.0, so a negative real z with a -0.0 imaginary part
+    # lies on the upper side of every log's and loggamma's cut
+    z = complex(z.real, z.imag + 0.0)
     m = max(0, math.ceil(_ASYMP_RE - z.real))
     w = z + (m - 1)  # G(z + m) = G(1 + w)
     val = ((0.5 * w * w - 1.0 / 12.0) * cmath.log(w) - 0.75 * w * w + _HALF_LN_2PI * w
@@ -145,12 +144,8 @@ def _h(a: complex, n) -> complex:
     - an + ((n+a)/2) ln 2pi + zeta'(-1) + h(a, n), for |a| <= n/4:
     a^2 t P(t) - log(1+t)/12 plus the tail in 1/(n+a)^2, with t = a/n."""
     t = a / n
-    at = abs(t)
-    for bound, coeffs in _P_SERIES:
-        if at <= bound:
-            break
     p = 0.0
-    for c in coeffs:
+    for c in _P_SHORT if abs(t) <= _P_SHORT_T else _P_LONG:
         p = p * t + c
     return a * a * t * p - cmath.log(1.0 + t) / 12.0 + _tail(n + a, _BERNOULLI_TAIL)
 
@@ -161,17 +156,15 @@ def ln_barnes_ratio(xs, ys, n) -> complex:
 
     From n >= 12 with every |x|, |y| <= n/4 this is the balanced
     expansion, ((sum x^2 - sum y^2)/2) ln n + sum h(x, n) - sum h(y, n),
-    whose terms are all O(1).  Below, it is the direct sum of ln_barnes_g,
-    each distinct argument taken once; its error grows like
-    eps |ln G(n)|, which is why the switch comes this early (the direct
-    sum of d_n_exact's eight G's is off by 3.6e-12 at n = 37).  Raises
-    ConstraintError as ``barnes_ratio_asymptote`` does.
+    whose terms are all O(1).  Below, it is the direct sum of ln_barnes_g;
+    its error grows like eps |ln G(n)|, which is why the switch comes this
+    early (the direct sum of d_n_exact's eight G's is off by 3.6e-12 at
+    n = 37).  Raises ConstraintError as ``barnes_ratio_asymptote`` does.
     """
     xs, ys, lead = _balanced(xs, ys, n)
     if n >= _BALANCED_N and max(map(abs, xs + ys), default=0.0) <= _BALANCED_T * n:
         return lead + sum(_h(x, n) for x in xs) - sum(_h(y, n) for y in ys)
-    return (sum(xs.count(x) * ln_barnes_g(1 + n + x) for x in dict.fromkeys(xs))
-            - sum(ys.count(y) * ln_barnes_g(1 + n + y) for y in dict.fromkeys(ys)))
+    return sum(ln_barnes_g(1 + n + x) for x in xs) - sum(ln_barnes_g(1 + n + y) for y in ys)
 
 
 def barnes_ratio_asymptote(xs, ys, n) -> complex:
