@@ -19,9 +19,11 @@ import argparse
 import contextlib
 import csv
 import json
+import math
+import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,18 +68,20 @@ CONSTANTS_HEADER = [
 
 @dataclass
 class RunConfig:
+    """One run, as parsed from the command line (defaults in build_parser)."""
+
     command: str
-    betas: List[complex] = field(default_factory=lambda: [0.25 + 0j])
-    n_range: Optional[List[int]] = None
-    r_range: Optional[List[float]] = None
-    eps: float = 1e-3
-    panels: Optional[int] = None
-    nodes: int = 16
-    trunc_N: int = 512
-    seed: int = 0
-    tol: float = 1e-6
-    out: Optional[str] = None
-    fmt: str = "csv"
+    betas: List[complex]
+    n_range: Optional[List[int]]
+    r_range: Optional[List[float]]
+    eps: float
+    panels: Optional[int]
+    nodes: int
+    trunc_N: int
+    seed: int
+    tol: float
+    out: Optional[str]
+    fmt: str
 
 
 def _parse_range_ints(text: str) -> List[int]:
@@ -89,22 +93,16 @@ def _parse_range_ints(text: str) -> List[int]:
 
 def _parse_range_floats(text: str) -> List[float]:
     a, b, step = (float(p) for p in text.split(":"))
-    if step <= 0 or b < a:
+    if not (0 < step and -math.inf < a <= b < math.inf):
         raise ValueError(f"bad range {text}")
-    out = []
-    x = a
-    while x <= b + 1e-12:
-        out.append(x)
-        x += step
-    return out
+    # a + i step, not a running sum: its rounding drifts and drops the end b
+    return [a + i * step for i in range(math.floor((b - a + 1e-12) / step) + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="whdet", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--command", required=True,
-                   choices=["verify", "sweep-discrete", "sweep-continuous",
-                            "sech-lab", "constants"])
+    p.add_argument("--command", required=True, choices=list(COMMANDS))
     p.add_argument("--beta-re", type=float, action="append", default=None,
                    help="real part of a beta (repeatable)")
     p.add_argument("--beta-im", type=float, action="append", default=None,
@@ -124,28 +122,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_writable(path: str) -> None:
+    """Reject an --out that could not be written, before any route runs."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise ValueError(f"cannot write --out {path}")
+
+
 def parse_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    res = args.beta_re if args.beta_re is not None else [0.25]
-    ims = args.beta_im if args.beta_im is not None else [0.0] * len(res)
+    """The run argv asks for; ValueError or DomainError if it is invalid."""
+    args = vars(build_parser().parse_args(argv))
+    # an appended option cannot take a list default: argparse appends to it
+    res = args.pop("beta_re") or [0.25]
+    ims = args.pop("beta_im") or [0.0] * len(res)
     if len(ims) != len(res):
         raise ValueError("--beta-im count must match --beta-re count")
-    cfg = RunConfig(
-        command=args.command,
-        betas=[complex(r, i) for r, i in zip(res, ims)],
-        n_range=_parse_range_ints(args.n_range) if args.n_range else None,
-        r_range=_parse_range_floats(args.r_range) if args.r_range else None,
-        eps=args.eps,
-        panels=args.panels,
-        nodes=args.nodes,
-        trunc_N=args.trunc_N,
-        seed=args.seed,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    for key, parse in (("n_range", _parse_range_ints), ("r_range", _parse_range_floats)):
+        args[key] = parse(args[key]) if args[key] else None
+    cfg = RunConfig(betas=[complex(r, i) for r, i in zip(res, ims)], **args)
     if cfg.eps <= 0 or cfg.nodes < 2 or cfg.trunc_N < 4:
         raise ValueError("knobs must be positive (eps>0, nodes>=2, trunc-N>=4)")
+    for b in cfg.betas:
+        check_beta(b, COMMANDS[cfg.command].strip)
+    if cfg.out:  # an empty --out writes to stdout
+        _check_writable(cfg.out)
     return cfg
 
 
@@ -180,11 +181,12 @@ def run_verify(cfg: RunConfig):
         worst = max(worst, abs(lhs.log - rhs.log))
     check("quotient-identity", worst, max(tol, 1e-11))
 
+    ns = cfg.n_range or [4, 8]
     for b in cfg.betas:
-        for n in cfg.n_range or [4, 8]:
-            dn = {}
+        minors = {sign: structured.d_n_minors(b, max(ns), sign) for sign in (+1, -1)}
+        for n in ns:
+            dn = {sign: minors[sign][n - 1] for sign in (+1, -1)}
             for sign in (+1, -1):
-                dn[sign] = structured.d_n(b, n, sign)
                 check(f"d_n{sign:+d}({b:g},{n})",
                       rel_exp_diff(dn[sign], asymptotics.d_n_exact(b, n, sign)),
                       max(tol, 1e-8))
@@ -197,9 +199,9 @@ def run_verify(cfg: RunConfig):
         for r in (0.5, 0.8):
             for sign in (+1, -1):
                 got = structured.fredholm_det_hankel_reg(b, r, sign)
-                want = asymptotics.ln_det_hankel_reg_exact(b, r, sign)
-                check(f"hankel-reg({b:g},{r},{sign:+d})",
-                      abs(np.exp(got.log - want) - 1.0), max(tol, 1e-8))
+                want = LogDet.from_log(asymptotics.ln_det_hankel_reg_exact(b, r, sign))
+                check(f"hankel-reg({b:g},{r},{sign:+d})", rel_exp_diff(got, want),
+                      max(tol, 1e-8))
         # inverse-section route at the configured truncation
         if -0.5 < b.real < 0.5:
             # sign paired so the section converges at the fast rate
@@ -225,8 +227,7 @@ def run_verify(cfg: RunConfig):
             r0 = (1 - 1e-2) / (1 + 1e-2)
             csym = symbols.CircleSymbol(symbols.CircleKind.UBETA_R, beta=b, r=r0)
             hd = expsum.hankel_logdet(symbols.jump_coeff_sum(csym), +1, start=n0)
-            check(f"kernel-vs-section({b:g})",
-                  abs(np.exp(nys.log - hd.log) - 1.0), max(tol, 1e-6))
+            check(f"kernel-vs-section({b:g})", rel_exp_diff(nys, hd), max(tol, 1e-6))
     return records, [c for c in records if not c["measured"] <= c["tol"]]
 
 
@@ -242,37 +243,42 @@ def _wh_logdet(cfg: RunConfig, b: complex, sign: int, R: float) -> RefinedLogDet
     return RefinedLogDet(ld_p, ld_2p, ratio=2, exponent=2)
 
 
-def _sweep_rows(cfg: RunConfig):
-    continuous = cfg.command == "sweep-continuous"
-    if continuous:
-        kinds = ((+1, AsymKind.CONTINUOUS_PLUS), (-1, AsymKind.CONTINUOUS_MINUS))
-        scales = cfg.r_range or [10.0, 20.0, 40.0]
-    else:
-        kinds = ((+1, AsymKind.DISCRETE_PLUS), (-1, AsymKind.DISCRETE_MINUS))
-        scales = cfg.n_range or [16, 32, 64]
+def run_sweep_discrete(cfg: RunConfig):
+    """D_n against the discrete asymptotes, every n of the range from one
+    d_n_minors pass per (beta, sign); the MATRIX strip of the betas lies
+    inside both asymptote strips."""
+    ns = cfg.n_range or [16, 32, 64]
     rows = []
     for b in cfg.betas:
-        for sign, kind in kinds:
+        for sign, kind in ((+1, AsymKind.DISCRETE_PLUS), (-1, AsymKind.DISCRETE_MINUS)):
+            spec = AsymptoteSpec(kind, b)
+            minors = structured.d_n_minors(b, max(ns), sign)
+            for n in ns:
+                ld = minors[n - 1]
+                rows.append({**_row(float(n), ld, asymptote_log(spec, float(n))),
+                             "error": rel_exp_diff(ld, asymptotics.d_n_exact(b, n, sign))})
+    return rows, []
+
+
+def run_sweep_continuous(cfg: RunConfig):
+    """det(W_R +- H_R) against the continuous asymptotes, for each sign
+    whose strip holds beta."""
+    rows = []
+    for b in cfg.betas:
+        for sign, kind in ((+1, AsymKind.CONTINUOUS_PLUS), (-1, AsymKind.CONTINUOUS_MINUS)):
             try:
                 spec = AsymptoteSpec(kind, b)
             except DomainError:
                 continue  # beta outside this sign's strip
-            if not continuous:  # every n of the range from one pass
-                minors = structured.d_n_minors(b, max(scales), sign)
-            for s in scales:
-                asym = asymptote_log(spec, float(s))
-                if continuous:
-                    ld = _wh_logdet(cfg, b, sign, s)
-                    rows.append({**_row(float(s), ld.value, asym), "refinement": ld.refinement})
-                else:
-                    ld = minors[s - 1]
-                    rows.append({**_row(float(s), ld, asym),
-                                 "error": rel_exp_diff(ld, asymptotics.d_n_exact(b, s, sign))})
+            for R in cfg.r_range or [10.0, 20.0, 40.0]:
+                asym = asymptote_log(spec, float(R))
+                ld = _wh_logdet(cfg, b, sign, R)
+                rows.append({**_row(float(R), ld.value, asym), "refinement": ld.refinement})
     return rows, []
 
 
 def run_sech_lab(cfg: RunConfig):
-    rows, violations = [], []
+    rows = []
     for b in cfg.betas:
         spec = AsymptoteSpec(AsymKind.SECH, b)
         sym = symbols.LineSymbol(symbols.LineKind.PHI, beta=b)
@@ -280,7 +286,7 @@ def run_sech_lab(cfg: RunConfig):
             rule = wienerhopf.wh_rule(s, panels=cfg.panels, nodes=cfg.nodes)
             ld = wienerhopf.det_w2r(sym, s, rule)
             rows.append(_row(s, ld, asymptote_log(spec, s)))
-    return rows, violations
+    return rows, []
 
 
 def _or_nan(constant, b: complex) -> complex:
@@ -313,49 +319,47 @@ def run_constants(cfg: RunConfig):
 def write_output(cfg: RunConfig, rows: list, violations: list):
     """The rows as CSV, header first, or as one JSON document with the
     config and the violations; to --out, else to stdout."""
-    header = {"constants": CONSTANTS_HEADER, "verify": CHECK_HEADER,
-              "sweep-discrete": DISCRETE_HEADER,
-              "sweep-continuous": CONTINUOUS_HEADER}.get(cfg.command, CSV_HEADER)
     dest = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
     with dest as f:
         if cfg.fmt == "json":
-            config = {k: getattr(cfg, k) for k in ("command", "n_range", "r_range", "eps",
-                                                   "panels", "nodes", "trunc_N", "seed", "tol")}
+            config = {k: v for k, v in asdict(cfg).items() if k not in ("out", "fmt")}
             config["betas"] = [[b.real, b.imag] for b in cfg.betas]
             json.dump({"config": config, "rows": rows, "violations": violations},
                       f, indent=1, sort_keys=True)
             f.write("\n")
         else:
+            header = COMMANDS[cfg.command].header
             writer = csv.DictWriter(f, fieldnames=header, lineterminator="\n")
             writer.writeheader()
             writer.writerows({h: row[h] if isinstance(row[h], str) else f"{row[h]:.17g}"
                               for h in header} for row in rows)
 
 
-#: the strip of each command's routes; every beta of KERNEL_FAMILY, the cut
-#: kernel's strip, lies in at least one of the two continuous asymptote strips
-_COMMAND_STRIPS = {
-    "sweep-discrete": BetaContext.MATRIX,
-    "sweep-continuous": BetaContext.KERNEL_FAMILY,
-    "sech-lab": BetaContext.SECH,
+class Command(NamedTuple):
+    """A command's runner, which returns (rows, violations), the CSV header
+    of its rows and the strip its betas must lie in."""
+
+    run: Callable[[RunConfig], Tuple[list, list]]
+    header: List[str]
+    strip: BetaContext
+
+
+#: every --command; every beta of KERNEL_FAMILY, the cut kernel's strip,
+#: lies in at least one of the two continuous asymptote strips
+COMMANDS = {
+    "verify": Command(run_verify, CHECK_HEADER, BetaContext.FINITE),
+    "sweep-discrete": Command(run_sweep_discrete, DISCRETE_HEADER, BetaContext.MATRIX),
+    "sweep-continuous": Command(run_sweep_continuous, CONTINUOUS_HEADER,
+                                BetaContext.KERNEL_FAMILY),
+    "sech-lab": Command(run_sech_lab, CSV_HEADER, BetaContext.SECH),
+    "constants": Command(run_constants, CONSTANTS_HEADER, BetaContext.FINITE),
 }
-
-
-def validate_betas(cfg: RunConfig):
-    """Reject betas outside the strip the command's routes require."""
-    context = _COMMAND_STRIPS.get(cfg.command, BetaContext.FINITE)
-    for b in cfg.betas:
-        check_beta(b, context)
 
 
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
-        validate_betas(cfg)
-        run = {"verify": run_verify, "sweep-discrete": _sweep_rows,
-               "sweep-continuous": _sweep_rows, "sech-lab": run_sech_lab,
-               "constants": run_constants}[cfg.command]
-        rows, violations = run(cfg)
+        rows, violations = COMMANDS[cfg.command].run(cfg)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except (ValueError, DomainError) as exc:

@@ -171,8 +171,6 @@ def finite_section_quotient(
     n: Optional[int] = None,
     R: Optional[float] = None,
     eps: float = 1e-3,
-    rule: Optional[QuadRule] = None,
-    nodes: int = 16,
 ) -> LogDet:
     """log det[P (I +- H)^{-1} P] through the kernel-family quotient.
 
@@ -189,7 +187,7 @@ def finite_section_quotient(
         spec = KernelSpec(KernelFamily.KEPS_N, beta=b, n=n, eps=eps)
     else:
         spec = KernelSpec(KernelFamily.KHAT_EPS_R, beta=b, R=R, eps=eps)
-    op = nystrom(spec, rule or default_rule(spec, nodes=nodes))
+    op = nystrom(spec, default_rule(spec))
     num = fredholm_logdet(op, sign)
     r = (1.0 - eps) / (1.0 + eps)
     den = ln_det_hankel_reg_exact(b, r, sign)

@@ -70,12 +70,13 @@ class LineSymbol:
 
     kind: LineKind
     beta: complex = 0.0
-    eps: float = 1.0
+    eps: float = 0.0
 
     def __post_init__(self):
         if self.kind in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
-            if not 0.0 < self.eps <= 1.0:
-                raise DomainError(f"eps must lie in (0, 1], got {self.eps}")
+            # at eps = 1 both symbols are identically 1: no cut to integrate
+            if not 0.0 < self.eps < 1.0:
+                raise DomainError(f"eps must lie in (0, 1), got {self.eps}")
         beta_value(self.beta, BetaContext.SECH if self.kind is LineKind.PHI
                    else BetaContext.FINITE)
 

@@ -17,14 +17,19 @@ from whdet import (
     rel_exp_diff,
     wh_rule,
 )
-from whdet.cli import (CHECK_HEADER, CONSTANTS_HEADER, CONTINUOUS_HEADER, DISCRETE_HEADER, main,
-                       parse_config)
+from whdet.cli import (CHECK_HEADER, COMMANDS, CONSTANTS_HEADER, CONTINUOUS_HEADER, CSV_HEADER,
+                       DISCRETE_HEADER, main, parse_config)
 from whdet.errors import ConvergenceWarning, SingularMatrix
 
 
 def read_csv(path):
     with open(path) as f:
         return list(csv.DictReader(f))
+
+
+def patch_runner(monkeypatch, command, run):
+    """Replace a command's runner in the table main dispatches on."""
+    monkeypatch.setitem(COMMANDS, command, COMMANDS[command]._replace(run=run))
 
 
 class TestConfig:
@@ -45,6 +50,50 @@ class TestConfig:
 
     def test_unknown_command_exit_2(self):
         assert main(["--command", "frobnicate"]) == 2
+
+    @pytest.mark.parametrize("text, a, step, count", [
+        ("0:100:0.01", 0.0, 0.01, 10001), ("0:10:0.1", 0.0, 0.1, 101),
+        ("6:10:4", 6.0, 4.0, 2)])
+    def test_float_range_keeps_its_end(self, text, a, step, count):
+        # a running sum x += step drifts and drops the end point
+        scales = parse_config(["--command", "sech-lab", "--r-range", text]).r_range
+        assert scales == [a + i * step for i in range(count)]
+        assert scales[-1] == float(text.split(":")[1])
+
+    @pytest.mark.parametrize("text", ["1:nan:1", "1:2:nan", "1:inf:1"])
+    def test_non_finite_float_range_exit_2(self, text):
+        assert main(["--command", "sech-lab", "--r-range", text]) == 2
+
+    def test_unwritable_out_exit_2_before_any_route(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        patch_runner(monkeypatch, "sech-lab", lambda cfg: ran.append(cfg) or ([], []))
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert main(["--command", "sech-lab", "--out", str(out)]) == 2
+            assert "invalid config" in capsys.readouterr().err
+        assert ran == []
+
+    def test_eps_one_exit_2(self, capsys):
+        assert main(["--command", "sweep-continuous", "--beta-re", "0.3",
+                     "--r-range", "4:4:1", "--eps", "1"]) == 2
+        assert "invalid config" in capsys.readouterr().err
+
+    def test_json_config_records_every_option(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert main(["--command", "constants", "--beta-re", "0.1", "--beta-im", "0.2",
+                     "--n-range", "4:8:4", "--r-range", "1:2:1", "--eps", "0.01",
+                     "--panels", "3", "--nodes", "4", "--trunc-N", "16", "--seed", "5",
+                     "--tol", "1e-5", "--out", str(out), "--format", "json"]) == 0
+        assert json.loads(out.read_text())["config"] == {
+            "command": "constants", "betas": [[0.1, 0.2]], "n_range": [4, 8],
+            "r_range": [1.0, 2.0], "eps": 0.01, "panels": 3, "nodes": 4, "trunc_N": 16,
+            "seed": 5, "tol": 1e-5}
+
+    def test_json_config_defaults(self, capsys):
+        assert main(["--command", "constants", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {
+            "command": "constants", "betas": [[0.25, 0.0]], "n_range": None,
+            "r_range": None, "eps": 1e-3, "panels": None, "nodes": 16, "trunc_N": 512,
+            "seed": 0, "tol": 1e-6}
 
 
 class TestVerify:
@@ -72,30 +121,24 @@ class TestVerify:
         assert main(["--command", "verify", "--beta-re", "0.25"]) == 0
 
     def test_violation_exit_1(self, monkeypatch, capsys):
-        import whdet.cli as cli
-        monkeypatch.setattr(
-            cli, "run_verify",
-            lambda cfg: ([], [{"check": "fake", "measured": 1.0, "tol": 0.5}]))
+        patch_runner(monkeypatch, "verify",
+                     lambda cfg: ([], [{"check": "fake", "measured": 1.0, "tol": 0.5}]))
         assert main(["--command", "verify"]) == 1
         assert "VIOLATION" in capsys.readouterr().err
 
     def test_numerical_failure_exit_3(self, monkeypatch):
-        import whdet.cli as cli
-
         def boom(cfg):
             raise SingularMatrix("synthetic")
 
-        monkeypatch.setattr(cli, "run_verify", boom)
+        patch_runner(monkeypatch, "verify", boom)
         assert main(["--command", "verify"]) == 3
 
     def test_convergence_warning_reaches_caller(self, monkeypatch):
-        import whdet.cli as cli
-
         def under_resolved(cfg):
             warnings.warn("synthetic under-resolved section", ConvergenceWarning)
             return [], []
 
-        monkeypatch.setattr(cli, "run_verify", under_resolved)
+        patch_runner(monkeypatch, "verify", under_resolved)
         with pytest.warns(ConvergenceWarning, match="synthetic"):
             assert main(["--command", "verify"]) == 0
 
@@ -144,6 +187,17 @@ class TestSweeps:
         for row, ld in zip(rows, want):
             assert abs(row["value_ln_abs"] - ld.ln_abs) <= 1e-14
             assert abs(row["value_arg"] - ld.arg) <= 1e-14
+
+    def test_sech_lab_header_is_its_row_keys(self, tmp_path):
+        args = ["--command", "sech-lab", "--beta-re", "0.3", "--r-range", "4:6:2"]
+        assert main(args + ["--out", str(tmp_path / "s.csv")]) == 0
+        assert main(args + ["--out", str(tmp_path / "s.json"), "--format", "json"]) == 0
+        with open(tmp_path / "s.csv") as f:
+            header = next(csv.reader(f))
+        rows = json.loads((tmp_path / "s.json").read_text())["rows"]
+        assert header == CSV_HEADER
+        assert len(rows) == 2
+        assert all(set(row) == set(header) for row in rows)
 
     def test_sech_lab(self, tmp_path):
         out = tmp_path / "s.csv"

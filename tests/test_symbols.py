@@ -405,6 +405,13 @@ class TestKernelLine:
         with pytest.raises(DomainError):
             cut_kernel(LineSymbol(LineKind.VHAT, beta=0.3))
 
+    @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
+    def test_eps_outside_open_unit_interval_rejected(self, kind, eps):
+        # at eps = 1 both symbols are identically 1 and the cut kernel a NaN sum
+        with pytest.raises(DomainError, match="eps"):
+            LineSymbol(kind, beta=0.3, eps=eps)
+
     def test_real_beta_gives_real_values(self):
         # beta = 0 included: every real beta gives one dtype, float64
         xs = np.array([-0.5, 0.5, 2.0])
