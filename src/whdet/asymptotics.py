@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .logdet import LogDet
-from .params import BetaContext, beta_value, check_sign
+from .params import BetaContext, check_beta, check_order, check_positive, check_sign
 from .specfun import ln_barnes_g, ln_barnes_ratio
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -56,9 +56,8 @@ def d_n_exact(beta, n: int, sign: int) -> LogDet:
     """
     check_sign(sign)
     ctx = BetaContext.DISCRETE_PLUS if sign > 0 else BetaContext.DISCRETE_MINUS
-    b = beta_value(beta, ctx)
-    if n < 1:
-        raise DomainError("n must be positive")
+    b = check_beta(beta, ctx)
+    n = check_order(n)
     h = _DISCRETE_H[sign][0]
     ratio = ln_barnes_ratio((1.0 - h, 0.0, b, h - 1.0 + b),
                             (b / 2 - 0.5, b / 2, b / 2, b / 2 + 0.5), n)
@@ -68,16 +67,15 @@ def d_n_exact(beta, n: int, sign: int) -> LogDet:
 def det_tn_exact(beta, n: int) -> LogDet:
     """Exact det T_n(v_beta) = G(1+b)^2/G(1+2b) * G(1+n)G(1+2b+n)/G(1+b+n)^2,
     the n-dependent part as one balanced ``ln_barnes_ratio``."""
-    b = beta_value(beta, BetaContext.FINITE)
-    if n < 1:
-        raise DomainError("n must be positive")
+    b = check_beta(beta, BetaContext.FINITE)
+    n = check_order(n)
     return LogDet.from_log(_k_toeplitz(b) + ln_barnes_ratio((0.0, 2.0 * b), (b, b), n))
 
 
 def ln_det_hankel_reg_exact(beta, r: float, sign: int) -> complex:
     """Closed form of log det(I +- H(u_{beta,r})):
     ((1-r)/(1+r))^{+-b/2} (1-r^2)^{b^2/2}."""
-    b = beta_value(beta, BetaContext.FINITE)
+    b = check_beta(beta, BetaContext.FINITE)
     check_sign(sign)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"need 0 <= r < 1, got {r}")
@@ -90,7 +88,7 @@ def ln_akhiezer_kac_E(beta) -> complex:
     """log of the R-independent constant for the sech symbol:
     G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2) /
     [G(1/2) G(3/2) G(3/2+b) G(1/2-b)]."""
-    b = beta_value(beta, BetaContext.SECH)
+    b = check_beta(beta, BetaContext.SECH)
     num = 2.0 * (
         ln_barnes_g(1.5 + b / 2)
         + ln_barnes_g(1.0 + b / 2)
@@ -109,7 +107,7 @@ def akhiezer_kac_E(beta) -> complex:
 def ln_c_beta(beta) -> complex:
     """log of C_b = 2^{b^2} G(1/2)G(3/2)G(3/2+b)G(1/2-b) /
     [G^2(3/2+b/2) G^2(1+b/2) G^2(1-b/2) G^2(1/2-b/2)]."""
-    b = beta_value(beta, BetaContext.CONTINUOUS_MINUS)
+    b = check_beta(beta, BetaContext.CONTINUOUS_MINUS)
     return b * b * LN_2 - ln_akhiezer_kac_E(b)
 
 
@@ -181,7 +179,7 @@ class AsymptoteSpec:
     beta: complex
 
     def __post_init__(self):
-        beta_value(self.beta, _ASYMPTOTES[self.kind][0])
+        check_beta(self.beta, _ASYMPTOTES[self.kind][0])
 
 
 def asymptote_log(spec: AsymptoteSpec, scale: float) -> complex:
@@ -191,8 +189,8 @@ def asymptote_log(spec: AsymptoteSpec, scale: float) -> complex:
     (x^2/(1+x^2))^b.  A regularized symbol ((x^2+eps^2)/(x^2+1))^b follows
     them while eps*scale << 1, which is where they are compared.
     """
-    if spec.kind is not AsymKind.CBETA and scale <= 0:
-        raise DomainError("scale must be positive")
+    if spec.kind is not AsymKind.CBETA:
+        check_positive(scale, "scale")
     return _ASYMPTOTES[spec.kind][1](complex(spec.beta), scale)
 
 

@@ -141,8 +141,10 @@ def parse_config(argv) -> RunConfig:
     for key, parse in (("n_range", _parse_range_ints), ("r_range", _parse_range_floats)):
         args[key] = parse(args[key]) if args[key] else None
     cfg = RunConfig(betas=[complex(r, i) for r, i in zip(res, ims)], **args)
-    if cfg.eps <= 0 or cfg.nodes < 2 or cfg.trunc_N < 4:
-        raise ValueError("knobs must be positive (eps>0, nodes>=2, trunc-N>=4)")
+    if not (cfg.eps > 0 and cfg.nodes >= 2 and cfg.trunc_N >= 4 and 0 <= cfg.tol < math.inf
+            and (cfg.panels is None or cfg.panels >= 1)):
+        raise ValueError("knobs out of range (eps>0, nodes>=2, trunc-N>=4, panels>=1,"
+                         " finite tol>=0)")
     for b in cfg.betas:
         check_beta(b, COMMANDS[cfg.command].strip)
     if cfg.out:  # an empty --out writes to stdout

@@ -17,7 +17,8 @@ import numpy as np
 from .asymptotics import ln_det_hankel_reg_exact
 from .errors import DomainError
 from .logdet import LogDet, check_dense, logdet
-from .params import BetaContext, beta_value, check_sign, working_beta
+from .params import (BetaContext, check_beta, check_eps, check_order, check_positive,
+                     check_sign, working_beta)
 from .quadrature import QuadRule, gauss_rule
 from .specfun import sin_pi
 
@@ -42,14 +43,13 @@ class KernelSpec:
     eps: float = 0.0
 
     def __post_init__(self):
-        beta_value(self.beta, BetaContext.KERNEL_FAMILY)
+        check_beta(self.beta, BetaContext.KERNEL_FAMILY)
         if self.family in (KernelFamily.KEPS_N, KernelFamily.KHAT_EPS_R):
-            if not 0.0 < self.eps < 1.0:
-                raise DomainError(f"eps must lie in (0,1), got {self.eps}")
-        if self.family in (KernelFamily.KN, KernelFamily.KEPS_N) and self.n < 1:
-            raise DomainError("projection index n must be >= 1")
-        if self.family in (KernelFamily.KHAT_R, KernelFamily.KHAT_EPS_R) and self.R <= 0:
-            raise DomainError("truncation length R must be positive")
+            check_eps(self.eps)
+        if self.family in (KernelFamily.KN, KernelFamily.KEPS_N):
+            check_order(self.n)
+        if self.family in (KernelFamily.KHAT_R, KernelFamily.KHAT_EPS_R):
+            check_positive(self.R, "R")
 
     @property
     def interval(self) -> Tuple[float, float]:
@@ -180,7 +180,7 @@ def finite_section_quotient(
     approach the corresponding pure-symbol projection determinants as
     eps -> 0.
     """
-    b = beta_value(beta, BetaContext.KERNEL_FAMILY)
+    b = check_beta(beta, BetaContext.KERNEL_FAMILY)
     if (n is None) == (R is None):
         raise DomainError("give exactly one of n (discrete) or R (continuous)")
     if n is not None:

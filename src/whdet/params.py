@@ -1,12 +1,13 @@
 """Admissibility guards for the singularity exponent beta.
 
 This module is the only place where a strip of the beta plane is written.
-Each public entry point reads beta once, by ``beta_value(beta, context)``,
+Each public entry point reads beta once, by ``check_beta(beta, context)``,
 so a beta outside its route's strip, NaN included, raises DomainError
 before any work.  Strips are open intervals of Re b, less EXCLUSION_TOL at
 each finite end; upper-case entry points are AsymptoteSpec kinds.
 
-MATRIX            Re b > -1/2         fourier_coeff_v, d_n, W2R_CONT, T2N_DISCRETE
+MATRIX            Re b > -1/2         fourier_coeff_v (every k of an array),
+                                      d_n, d_n_minors, W2R_CONT, T2N_DISCRETE
 SECH              (-3/2, 1/2)         LineSymbol(PHI), sech_kernel, ln_akhiezer_kac_E, SECH,
                                       hankel_section_inverse_det with sign -1
 CONTINUOUS_PLUS   (-1/2, 3/2)         CONTINUOUS_PLUS, hankel_section_inverse_det
@@ -18,18 +19,22 @@ HANKEL_REG        Re b > -1           fredholm_det_hankel_reg (its cut integral)
 DISCRETE_PLUS     b off -1/2, -3/2..  DISCRETE_PLUS, d_n_exact with sign +1
 DISCRETE_MINUS    b off -3/2, -5/2..  DISCRETE_MINUS, d_n_exact with sign -1
 FINITE            any finite b        CircleSymbol, the other LineSymbol kinds,
-                                      fourier_coeff_u, det_tn_exact,
-                                      ln_det_hankel_reg_exact
+                                      fourier_coeff_u (every k of an array),
+                                      det_tn_exact, ln_det_hankel_reg_exact
 
-``BetaParam`` ties a value to the strip it was validated against, and
-``working_beta`` picks the arithmetic of every dense route from it.
+The other inputs are read the same way, before any allocation: a matrix
+order, truncation or panel count by ``check_order``, a length or scale by
+``check_positive``, a regularization eps by ``check_eps``.
+
+``working_beta`` picks the arithmetic of every dense route from beta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -92,25 +97,6 @@ def check_beta(value: complex, context: BetaContext) -> complex:
     return b
 
 
-@dataclass(frozen=True)
-class BetaParam:
-    """A beta value bundled with the context it was validated for."""
-
-    value: complex
-    context: BetaContext
-
-    def __post_init__(self):
-        check_beta(self.value, self.context)
-
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
-
-def beta_value(beta, context: BetaContext) -> complex:
-    """Accept a BetaParam or a plain number; validate against context."""
-    return check_beta(beta.value if isinstance(beta, BetaParam) else beta, context)
-
-
 def working_beta(b: complex) -> float | complex:
     """beta as the scalar a dense route computes with: a float when Im b == 0.
 
@@ -127,6 +113,27 @@ def check_sign(sign) -> None:
     """Reject a sign of a +- determinant other than +1 or -1."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+
+
+def check_order(n, name: str = "n") -> int:
+    """Reject a matrix order, truncation or panel count that is not an
+    integer >= 1 (numpy integers included); return it as an int."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
+def check_positive(x, name: str) -> None:
+    """Reject a length or scale that is not finite and > 0, NaN included."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
+
+
+def check_eps(eps) -> None:
+    """Reject a regularization eps outside the open interval (0, 1): at
+    eps = 1 the regularized symbols are identically 1."""
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
 
 
 def is_near_nonpositive_integer(z: complex, tol: float = EXCLUSION_TOL) -> bool:

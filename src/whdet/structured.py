@@ -25,23 +25,23 @@ import scipy.linalg
 from .errors import ConvergenceWarning, DomainError, SingularMatrix
 from .expsum import hankel_logdet
 from .logdet import PIVOT_FLOOR, LogDet
-from .params import BetaContext, beta_value, check_sign
-from .symbols import CircleKind, CircleSymbol, jump_coeff_sum, v_coeff_array
+from .params import BetaContext, check_beta, check_order, check_sign
+from .symbols import CircleKind, CircleSymbol, fourier_coeff_v, jump_coeff_sum
 
 
 def toeplitz(coeffs, n: int) -> np.ndarray:
-    """T_n from a coefficient accessor: entry (j,k) = a_{j-k}."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    c = np.array([coeffs(k) for k in range(-(n - 1), n)])
+    """T_n, entry (j,k) = a_{j-k}, from one call of the coefficient accessor
+    on the index array -(n-1) .. n-1."""
+    n = check_order(n)
+    c = np.asarray(coeffs(np.arange(-(n - 1), n)))
     return scipy.linalg.toeplitz(c[n - 1:], c[n - 1::-1])
 
 
 def hankel(coeffs, n: int) -> np.ndarray:
-    """H_n from a coefficient accessor: entry (j,k) = a_{j+k+1}."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    c = np.array([coeffs(k) for k in range(1, 2 * n)])
+    """H_n, entry (j,k) = a_{j+k+1}, from one call of the coefficient
+    accessor on the index array 1 .. 2n-1."""
+    n = check_order(n)
+    c = np.asarray(coeffs(np.arange(1, 2 * n)))
     return scipy.linalg.hankel(c[:n], c[n - 1:])
 
 
@@ -92,11 +92,10 @@ def _gram_pivots(m: np.ndarray, sign: int) -> np.ndarray:
 
 def _minor_logs(beta, n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """ln |d_k| and arg d_k, k = 1 .. n, as two arrays (see ``d_n_minors``)."""
-    b = beta_value(beta, BetaContext.MATRIX)
+    b = check_beta(beta, BetaContext.MATRIX)
     check_sign(sign)
-    if n < 1:
-        raise DomainError("n must be positive")
-    a = v_coeff_array(b, np.arange(2 * n + 1))
+    n = check_order(n)
+    a = fourier_coeff_v(b, np.arange(2 * n + 1))
     pivots = _gram_pivots(a[:-1] + sign * a[1:], sign)
     ln_abs = np.cumsum(np.log(np.abs(pivots)))
     if np.iscomplexobj(pivots):
@@ -176,9 +175,9 @@ def hankel_section_inverse_det(
     reads beta on the CONTINUOUS_PLUS strip, sign=- on the SECH strip.
     """
     check_sign(sign)
-    b = beta_value(beta, BetaContext.CONTINUOUS_PLUS if sign > 0 else BetaContext.SECH)
-    if N is None:
-        N = max(512, 8 * n)
+    b = check_beta(beta, BetaContext.CONTINUOUS_PLUS if sign > 0 else BetaContext.SECH)
+    n = check_order(n)
+    N = max(512, 8 * n) if N is None else check_order(N, "N")
     if N < 4 * n:
         raise DomainError("truncation N must be at least 4n")
     coeffs = jump_coeff_sum(CircleSymbol(CircleKind.UBETA, beta=-b), 2 * SECTION_RATIO * N)
@@ -203,7 +202,7 @@ def fredholm_det_hankel_reg(beta, r: float, sign: int) -> LogDet:
     so the determinant is an r x r one (``expsum.hankel_logdet``) with no
     truncation; it needs Re beta > -1.
     """
-    b = beta_value(beta, BetaContext.HANKEL_REG)
+    b = check_beta(beta, BetaContext.HANKEL_REG)
     check_sign(sign)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"need 0 <= r < 1, got {r}")

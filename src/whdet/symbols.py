@@ -24,7 +24,8 @@ from scipy.special import loggamma, roots_jacobi
 
 from .errors import DomainError, SingularPointError
 from .expsum import CoeffSum, ExpSum, fit_even
-from .params import BetaContext, beta_value, is_near_nonpositive_integer, working_beta
+from .params import (BetaContext, check_beta, check_eps, is_near_nonpositive_integer,
+                     working_beta)
 from .specfun import sin_pi
 
 
@@ -59,7 +60,7 @@ class CircleSymbol:
     r: float = 0.0
 
     def __post_init__(self):
-        beta_value(self.beta, BetaContext.FINITE)
+        check_beta(self.beta, BetaContext.FINITE)
         if self.kind in _REGULARIZED_CIRCLE and not 0.0 <= self.r < 1.0:
             raise DomainError(f"regularized symbol needs 0 <= r < 1, got r={self.r}")
 
@@ -74,10 +75,8 @@ class LineSymbol:
 
     def __post_init__(self):
         if self.kind in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
-            # at eps = 1 both symbols are identically 1: no cut to integrate
-            if not 0.0 < self.eps < 1.0:
-                raise DomainError(f"eps must lie in (0, 1), got {self.eps}")
-        beta_value(self.beta, BetaContext.SECH if self.kind is LineKind.PHI
+            check_eps(self.eps)
+        check_beta(self.beta, BetaContext.SECH if self.kind is LineKind.PHI
                    else BetaContext.FINITE)
 
 
@@ -133,28 +132,21 @@ def eval_line(s: LineSymbol, x):
 # Fourier coefficients on the circle
 # ---------------------------------------------------------------------------
 
-def fourier_coeff_v(beta, k: int) -> complex:
-    """k-th Fourier coefficient of (2-2 cos theta)^beta, Re beta > -1/2.
+def fourier_coeff_v(beta, k):
+    """Fourier coefficients of (2-2 cos theta)^beta, Re beta > -1/2, at the
+    integer or integer array k: real for a real beta (``working_beta``).
 
     Closed form (-1)^k Gamma(1+2b) / (Gamma(1+b+k) Gamma(1+b-k)), obtained
     from the Cauchy product of the binomial series of (1-t)^b (1-1/t)^b.
-    """
-    b = beta_value(beta, BetaContext.MATRIX)
-    return complex(v_coeff_array(b, np.array([k]))[0])
-
-
-def v_coeff_array(b: complex, k) -> np.ndarray:
-    """fourier_coeff_v at every integer of the array k, for a validated beta.
-
     Every Gamma is taken at an argument of positive real part: where
     1+b-|k| is not, by the reflection 1/Gamma(1+b-m) =
     Gamma(m-b) (-1)^{m+1} sin(pi b)/pi, so the sign is exact and a real
-    beta gives an exactly real array.  One complex loggamma serves both
+    beta gives exactly real values.  One complex loggamma serves both
     kinds of beta, so a real beta and the same beta with a vanishing
     imaginary part share their real parts.  At an integer beta the
     reciprocal Gamma vanishes for |k| > b.
     """
-    b = complex(b)
+    b = check_beta(beta, BetaContext.MATRIX)
     k = np.asarray(k)
     m = np.abs(k)
     live = np.ones(k.shape, dtype=bool)
@@ -169,30 +161,24 @@ def v_coeff_array(b: complex, k) -> np.ndarray:
     c_live[direct] = np.where(md % 2, -1.0, 1.0) * np.exp(ln[direct] - loggamma(1 + b - md))
     c_live[~direct] = -sin_pi(b) / np.pi * np.exp(ln[~direct] + loggamma(mr - b))
     c[live] = c_live
-    return c.real if isinstance(working_beta(b), float) else c
+    return (c.real if isinstance(working_beta(b), float) else c)[()]
 
 
-def fourier_coeff_u(beta, k: int) -> complex:
-    """k-th Fourier coefficient of e^{i beta (theta-pi)}.
+def fourier_coeff_u(beta, k):
+    """Fourier coefficients of e^{i beta (theta-pi)} at the integer or
+    integer array k: real for a real beta (``working_beta``).
 
     sin(pi b)/(pi (b-k)) for non-integer b; the monomial limit (-1)^b
     delta_{k,b} when b is an integer.
     """
-    b = beta_value(beta, BetaContext.FINITE)
-    return complex(u_coeff_array(b, np.array([k]))[0])
-
-
-def u_coeff_array(b: complex, k) -> np.ndarray:
-    """fourier_coeff_u at every integer of the array k, for a validated
-    beta; real when working_beta(b) is."""
-    b = complex(b)
+    b = check_beta(beta, BetaContext.FINITE)
     k = np.asarray(k)
     bw = working_beta(b)
     if abs(b.imag) < 1e-14 and abs(b.real - round(b.real)) < 1e-14:
         m = round(b.real)
         out = np.zeros(k.shape, dtype=np.result_type(bw))
         out[k == m] = (-1.0) ** (m % 2)
-        return out
+        return out[()]
     return sin_pi(bw) / (np.pi * (bw - k))
 
 
@@ -261,7 +247,7 @@ def jump_coeff_sum(s: CircleSymbol, kmax: Optional[int] = None) -> CoeffSum:
         f = f * _pow(-np.expm1(-d) / d, b) * _pow(-np.expm1(2.0 * math.log(r) - d), -b)
     w = -sin_pi(b) / np.pi * r ** (m + 1) * W * f
     if r == 1.0:
-        lead = u_coeff_array(b, np.arange(1, m + 1))
+        lead = fourier_coeff_u(b, np.arange(1, m + 1))
     else:
         lead = reg_coeff_table(s, m)[m + 1:] if m else np.zeros(0)
     return CoeffSum(lead, _compress_bands(d - math.log(r), w))
@@ -370,7 +356,7 @@ def cut_kernel(s: LineSymbol) -> ExpSum:
     """
     if s.kind not in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
         raise DomainError(f"no branch-cut kernel for symbol kind {s.kind}")
-    b = working_beta(beta_value(s.beta, BetaContext.KERNEL_FAMILY))
+    b = working_beta(check_beta(s.beta, BetaContext.KERNEL_FAMILY))
     eps = s.eps
     pref = -sin_pi(b) / np.pi
     eta, W = cut_rule(eps, b)
@@ -401,7 +387,7 @@ def _sech_sum() -> ExpSum:
 def sech_kernel(beta) -> ExpSum:
     """The kernel -(sin pi b)/(2 pi) sech(x/2) of the sech symbol as an
     exponential sum: one beta-free fit, fitted on first use, scaled."""
-    b = working_beta(beta_value(beta, BetaContext.SECH))
+    b = working_beta(check_beta(beta, BetaContext.SECH))
     base = _sech_sum()
     w = -sin_pi(b) / (2.0 * np.pi) * base.w_pos
     return ExpSum(base.eta, w, w, base.interp, base.err)

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DomainError
 from .expsum import ExpSum, expsum_logdet
 from .logdet import LogDet
-from .params import BetaContext, beta_value, check_sign, working_beta
+from .params import (BetaContext, check_beta, check_eps, check_order, check_positive,
+                     check_sign, working_beta)
 from .quadrature import QuadRule, gauss_rule
 from .specfun import sin_pi
 from .symbols import LineKind, LineSymbol, cut_kernel, cut_rule, sech_kernel
@@ -37,10 +38,8 @@ def wh_rule(R: float, panels: Optional[int] = None, nodes: int = 16) -> QuadRule
     flip-symmetric, which makes the doubling identity exact at the
     discrete level.
     """
-    if R <= 0:
-        raise DomainError("R must be positive")
-    if panels is None:
-        panels = max(16, int(math.ceil(2.0 * R)))
+    check_positive(R, "R")
+    panels = max(16, int(math.ceil(2.0 * R))) if panels is None else check_order(panels, "panels")
     return gauss_rule(nodes, (0.0, R), grading=("uniform", panels))
 
 
@@ -68,8 +67,7 @@ class TruncatedWH:
     def __post_init__(self):
         if self.symbol.kind not in _SUPPORTED:
             raise DomainError(f"symbol kind {self.symbol.kind} not supported for truncation")
-        if self.R <= 0:
-            raise DomainError("R must be positive")
+        check_positive(self.R, "R")
         check_sign(self.sign)
 
 
@@ -94,6 +92,7 @@ def det_w2r(symbol: LineSymbol, R2: float, rule: Optional[QuadRule] = None) -> L
     """log det W_{R2}(a) = log det of I + k(x_i - x_j) on [0, R2]."""
     if symbol.kind not in _SUPPORTED:
         raise DomainError(f"symbol kind {symbol.kind} not supported for truncation")
+    check_positive(R2, "R2")
     return expsum_logdet(_kernel(symbol), rule or wh_rule(R2))
 
 
@@ -109,7 +108,9 @@ def factor_product_logdet(beta, eps: float, R: float,
     an even exponential sum plus a term of the rank of the compressed sum.  The continuous determinant equals G[a]^R with
     ln G[a] = -beta (1 - eps).
     """
-    b = working_beta(beta_value(beta, BetaContext.KERNEL_FAMILY))
+    b = working_beta(check_beta(beta, BetaContext.KERNEL_FAMILY))
+    check_eps(eps)
+    check_positive(R, "R")
     rule = rule or wh_rule(R)
     # cut representation of k_+ (supported on w > 0): W_q e^{-eta_q w}
     eta, W = cut_rule(eps, b)

@@ -40,7 +40,7 @@ from whdet import (
 )
 from whdet.logdet import check_dense
 from whdet.params import working_beta
-from whdet.symbols import u_coeff_array, v_coeff_array
+from whdet.symbols import fourier_coeff_u, fourier_coeff_v
 
 
 def raw_cut_kernel(symbol) -> ExpSum:
@@ -142,7 +142,7 @@ def reg_coeffs(beta, r, kmax):
 
 def jump_coeffs(beta, kmax):
     """The coefficients k = 0..kmax of u_b in closed form."""
-    return u_coeff_array(complex(beta), np.arange(kmax + 1))
+    return fourier_coeff_u(beta, np.arange(kmax + 1))
 
 
 def dense_section_inverse(beta, n, sign, N):
@@ -161,7 +161,7 @@ def dense_d_n(beta, n, sign):
     b = working_beta(complex(beta))
     # T_n, H_n and the LU's copy of their sum
     check_dense("dense_d_n", n, np.result_type(b).itemsize, 3)
-    c = v_coeff_array(complex(beta), np.arange(-(2 * n - 1), 2 * n))
+    c = fourier_coeff_v(beta, np.arange(-(2 * n - 1), 2 * n))
     off = 2 * n - 1  # c[off + k] is the coefficient k
     A = scipy.linalg.toeplitz(c[off:off + n], c[off::-1][:n])       # c_{j-k}
     A += sign * scipy.linalg.hankel(c[off + 1:off + n + 1], c[off + n:])  # c_{j+k+1}

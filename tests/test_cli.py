@@ -45,6 +45,17 @@ class TestConfig:
     def test_bad_knobs_exit_2(self):
         assert main(["--command", "verify", "--eps", "-1"]) == 2
 
+    @pytest.mark.parametrize("knob", [["--tol", "nan"], ["--tol", "inf"], ["--tol=-1e-6"],
+                                      ["--panels", "0"], ["--panels", "-2"]])
+    def test_bad_knob_exit_2_before_any_route(self, knob, monkeypatch, capsys):
+        # a NaN tol flagged every check, an infinite one passed every check,
+        # and panels < 1 failed in numpy only after verify ran its routes
+        ran = []
+        patch_runner(monkeypatch, "verify", lambda cfg: ran.append(cfg) or ([], []))
+        assert main(["--command", "verify", *knob]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert ran == []
+
     def test_n_range_below_one_exit_2(self):
         assert main(["--command", "sweep-discrete", "--n-range", "0:8:4"]) == 2
 

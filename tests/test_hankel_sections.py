@@ -32,7 +32,7 @@ from whdet import (
 from whdet.expsum import hankel_logdet
 from whdet.params import EXCLUSION_TOL, _STRIPS
 from whdet.structured import SECTION_RATIO
-from whdet.symbols import jump_coeff_sum, u_coeff_array
+from whdet.symbols import fourier_coeff_u, jump_coeff_sum
 
 from _dense_oracle import dense_hankel, dense_section_inverse, reg_coeffs
 
@@ -76,7 +76,7 @@ class TestCoefficientSums:
         kmax = 2**31
         c = jump_coeff_sum(CircleSymbol(CircleKind.UBETA, beta=b), kmax)
         ks = np.unique(np.geomspace(1, kmax, 200).astype(np.int64))
-        want = u_coeff_array(complex(b), ks)
+        want = fourier_coeff_u(b, ks)
         # relative to each coefficient: the sum is compressed one band of
         # exponents at a time, so the slow ones keep their accuracy
         assert np.max(np.abs(c(ks) - want) / np.abs(want)) <= 1e-12

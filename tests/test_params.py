@@ -2,13 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from whdet import (
     AsymKind,
     AsymptoteSpec,
     BetaContext,
-    BetaParam,
     CircleKind,
     CircleSymbol,
     DomainError,
@@ -22,16 +22,20 @@ from whdet import (
     cut_kernel,
     d_n,
     d_n_exact,
+    d_n_minors,
     det_tn_exact,
     det_w2r,
     det_wr_pm_hr,
     expsum,
     factor_product_logdet,
+    finite_section_quotient,
     fourier_coeff_u,
     fourier_coeff_v,
+    fredholm,
     fredholm_det_hankel_reg,
     fredholm_logdet,
     gauss_rule,
+    hankel,
     hankel_section_inverse_det,
     ln_akhiezer_kac_E,
     ln_c_beta,
@@ -40,6 +44,7 @@ from whdet import (
     reg_coeff_table,
     sech_kernel,
     structured,
+    toeplitz,
     wh_rule,
     wienerhopf,
 )
@@ -110,23 +115,7 @@ class TestStripEdges:
         assert "invalid config" in capsys.readouterr().err
 
 
-class TestBetaParam:
-    def test_valid_construction(self):
-        bp = BetaParam(0.3 + 0.1j, BetaContext.KERNEL_FAMILY)
-        assert complex(bp) == 0.3 + 0.1j
-
-    def test_invalid_construction(self):
-        with pytest.raises(DomainError):
-            BetaParam(-0.5, BetaContext.DISCRETE_PLUS)
-
-    def test_accepted_by_operations(self):
-        from whdet import d_n_exact
-        bp = BetaParam(0.25, BetaContext.DISCRETE_PLUS)
-        ld = d_n_exact(bp, 4, +1)
-        assert abs(ld.ln_abs) < 1.0
-
-
-# the public functions that take a BetaParam or a number and read it by complex(beta)
+# public functions that read beta by complex(beta), so any complex-like number
 BETA_READERS = {
     "d_n": lambda b: d_n(b, 4, +1).log,
     "det_tn_exact": lambda b: det_tn_exact(b, 4).log,
@@ -142,10 +131,10 @@ BETA_READERS = {
 
 
 @pytest.mark.parametrize("name", sorted(BETA_READERS))
-def test_beta_param_read_as_its_value(name):
+def test_numpy_beta_read_as_its_value(name):
     b = -0.2 + 0.1j
     fn = BETA_READERS[name]
-    assert fn(BetaParam(b, BetaContext.KERNEL_FAMILY)) == fn(b)
+    assert fn(np.complex128(b)) == fn(b)
 
 
 # every entry point of a +- determinant, called with a given sign
@@ -233,14 +222,13 @@ STRIP_TABLE = {
 
 
 def _unreachable(*args, **kwargs):
-    raise AssertionError("assembly or factorization reached with a rejected beta")
+    raise AssertionError("assembly or factorization reached with a rejected input")
 
 
 @pytest.mark.parametrize("name", sorted(STRIP_TABLE))
 def test_strip_table(name, monkeypatch):
     call, edges, inside = STRIP_TABLE[name]
     call(inside)
-    call(BetaParam(inside, BetaContext.FINITE))
     monkeypatch.setattr(wienerhopf, "expsum_logdet", _unreachable)
     monkeypatch.setattr(expsum, "lu_logdet", _unreachable)
     monkeypatch.setattr(structured, "_gram_pivots", _unreachable)
@@ -248,3 +236,60 @@ def test_strip_table(name, monkeypatch):
     for bad in (float("nan"), complex(0.3, float("nan")), *edges):
         with pytest.raises(DomainError):
             call(bad)
+
+
+# every entry point that takes a matrix order or a truncation, given a
+# non-integer one: d_n returned D_4 at n = 4.5 and d_n_exact a Barnes-G
+# continuation between D_4 and D_5
+NON_INTEGER_ORDERS = {
+    "d_n": lambda: d_n(0.3, 4.5, +1),
+    "d_n_minors": lambda: d_n_minors(0.3, 4.5, +1),
+    "d_n_exact": lambda: d_n_exact(0.3, 4.5, +1),
+    "det_tn_exact": lambda: det_tn_exact(0.3, 2.5),
+    "hankel_section_inverse_det(n)": lambda: hankel_section_inverse_det(0.3, 2.5, +1, N=64),
+    "hankel_section_inverse_det(N)": lambda: hankel_section_inverse_det(0.3, 2, +1, N=64.5),
+    "toeplitz": lambda: toeplitz(lambda k: fourier_coeff_v(0.3, k), 2.5),
+    "hankel": lambda: hankel(lambda k: fourier_coeff_v(0.3, k), 2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_ORDERS))
+def test_non_integer_order_rejected(name):
+    with pytest.raises(DomainError, match="integer"):
+        NON_INTEGER_ORDERS[name]()
+
+
+def test_numpy_integer_order_accepted():
+    assert d_n(0.3, np.int64(4), +1) == d_n(0.3, 4, +1)
+    assert d_n_exact(0.3, np.int32(4), -1) == d_n_exact(0.3, 4, -1)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# every length, scale, panel count and regularization, given one that is not
+# finite or out of range; each was accepted, or failed later in numpy or LU
+BAD_LENGTHS = {
+    "TruncatedWH(R=nan)": lambda: TruncatedWH(_vhat(0.3), NAN),
+    "wh_rule(R=inf)": lambda: wh_rule(INF),
+    "wh_rule(panels=0)": lambda: wh_rule(10.0, panels=0),
+    "det_w2r(R2=nan)": lambda: det_w2r(_vhat(0.3), NAN),
+    "factor_product_logdet(R=nan)": lambda: factor_product_logdet(0.3, 0.1, NAN),
+    "factor_product_logdet(eps=nan)": lambda: factor_product_logdet(0.3, NAN, 2.0),
+    "factor_product_logdet(eps=2)": lambda: factor_product_logdet(0.3, 2.0, 2.0),
+    "KernelSpec(KHAT_R, R=nan)": lambda: KernelSpec(KernelFamily.KHAT_R, beta=0.3, R=NAN),
+    "finite_section_quotient(R=nan)": lambda: finite_section_quotient(0.3, +1, R=NAN),
+    "hankel_section_inverse_det(N=nan)":
+        lambda: hankel_section_inverse_det(0.3, 2, +1, N=NAN),
+    "asymptote_log(scale=nan)":
+        lambda: asymptote_log(AsymptoteSpec(AsymKind.CONTINUOUS_PLUS, 0.3), NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LENGTHS))
+def test_bad_length_rejected_before_assembly(name, monkeypatch):
+    for module, attr in ((wienerhopf, "gauss_rule"), (wienerhopf, "cut_rule"),
+                         (wienerhopf, "expsum_logdet"), (fredholm, "nystrom"),
+                         (structured, "jump_coeff_sum")):
+        monkeypatch.setattr(module, attr, _unreachable)
+    with pytest.raises(DomainError):
+        BAD_LENGTHS[name]()

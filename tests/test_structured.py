@@ -34,7 +34,6 @@ from whdet import (
 )
 from whdet import structured
 from whdet.params import is_near_nonpositive_integer
-from whdet.symbols import u_coeff_array, v_coeff_array
 
 from _barnes_oracle import mp_d_n
 from _dense_oracle import dense_d_n
@@ -55,7 +54,7 @@ def cofactor_det(a):
 
 class TestMatrixBuilders:
     def test_toeplitz_identity(self):
-        c = lambda k: 1.0 if k == 0 else 0.0
+        c = lambda k: (k == 0) * 1.0
         assert np.array_equal(toeplitz(c, 3), np.eye(3))
 
     def test_toeplitz_v1(self):
@@ -67,7 +66,7 @@ class TestMatrixBuilders:
         assert np.max(np.abs(m - m.T)) < 1e-15
 
     def test_hankel_constant_zero(self):
-        assert np.array_equal(hankel(lambda k: 1.0 if k == 0 else 0.0, 3),
+        assert np.array_equal(hankel(lambda k: (k == 0) * 1.0, 3),
                               np.zeros((3, 3)))
 
     def test_hankel_v1(self):
@@ -224,7 +223,7 @@ class TestCoefficientArrays:
     def test_v_array_matches_scalar(self, beta):
         n = 40
         ks = range(-(2 * n - 1), 2 * n)
-        got = v_coeff_array(complex(beta), np.arange(-(2 * n - 1), 2 * n))
+        got = fourier_coeff_v(complex(beta), np.arange(-(2 * n - 1), 2 * n))
         assert got.dtype == (np.float64 if complex(beta).imag == 0 else np.complex128)
         for want in ([fourier_coeff_v(beta, k) for k in ks],
                      [scalar_v_coeff(complex(beta), k) for k in ks]):
@@ -242,14 +241,14 @@ class TestCoefficientArrays:
         # log-Gamma differences near |k| ln|k| ~ 350 leave ~1e-13 relative
         # (the form through complex loggamma at 1+b-k < 0 measured 1.5e-13)
         ks = np.arange(-79, 80)
-        got = v_coeff_array(complex(beta), ks)
+        got = fourier_coeff_v(complex(beta), ks)
         want = np.array([mp_v_coeff(complex(beta), int(k)) for k in ks])
         assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-13
 
     @pytest.mark.parametrize("beta", [0.3, -0.42, -0.4999998212, 2.7])
     def test_v_array_real_beta_is_complex_beta_real_part(self, beta):
         ks = np.arange(-200, 201)
-        real, cplx = v_coeff_array(beta, ks), v_coeff_array(complex(beta, 1e-200), ks)
+        real, cplx = fourier_coeff_v(beta, ks), fourier_coeff_v(complex(beta, 1e-200), ks)
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert np.max(np.abs(real - cplx) / np.abs(real)) <= 1e-15
 
@@ -260,14 +259,14 @@ class TestCoefficientArrays:
 
     def test_v_array_integer_beta_is_finite_difference(self):
         # (2 - 2 cos theta)^2 = 6 - 4(t + 1/t) + (t^2 + 1/t^2)
-        got = v_coeff_array(2.0, np.arange(-5, 6))
+        got = fourier_coeff_v(2.0, np.arange(-5, 6))
         want = np.array([0, 0, 0, 1, -4, 6, -4, 1, 0, 0, 0])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     @pytest.mark.parametrize("beta", [0.3, -0.45, 1.3, 0.2 + 0.1j, 0.0, 1.0, -2.0])
     def test_u_array_matches_scalar(self, beta):
         ks = np.arange(1, 64)
-        got = u_coeff_array(complex(beta), ks)
+        got = fourier_coeff_u(complex(beta), ks)
         assert got.dtype == (np.float64 if complex(beta).imag == 0 else np.complex128)
         want = np.array([fourier_coeff_u(beta, int(k)) for k in ks])
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want), initial=1.0)
@@ -364,7 +363,7 @@ class TestDnRecurrence:
     @given(b=MATRIX_BETA, n=st.integers(1, 32))
     def test_toeplitz_doubling(self, b, n):
         # det T_2n = D_n^+ D_n^-, T_2n assembled and factored densely
-        c = v_coeff_array(b, np.arange(2 * n))
+        c = fourier_coeff_v(b, np.arange(2 * n))
         t2n = logdet(scipy.linalg.toeplitz(c, c))
         assert rel_exp_diff(d_n(b, n, +1) + d_n(b, n, -1), t2n) <= conditioned_tol(2 * n, b)
 
@@ -373,7 +372,7 @@ class TestDnRecurrence:
     def test_against_mpmath_at_2048(self, b):
         # 2.5e-11 at most over 60 draws.  Nearer the strip's ends the bound
         # no longer holds: the recurrence's own rounding grows like n^2 eps
-        # (1.3e-10 at b = 0.47, exact coefficients) and v_coeff_array loses
+        # (1.3e-10 at b = 0.47, exact coefficients) and fourier_coeff_v loses
         # 1.6e-11 relative at |k| ~ 4096 (1e-10 in the LU too at b = -0.4)
         for sign in (+1, -1):
             got = d_n(b, 2048, sign)
@@ -409,6 +408,6 @@ class TestDnRecurrence:
     def test_rank_one_raises_singular(self, sign, monkeypatch):
         # every coefficient 1: T_n + H_n = 2 (1 1 ... 1)^T (1 1 ... 1) has rank
         # one, T_n - H_n = 0
-        monkeypatch.setattr(structured, "v_coeff_array", lambda b, k: np.ones(len(k)))
+        monkeypatch.setattr(structured, "fourier_coeff_v", lambda b, k: np.ones(len(k)))
         with pytest.raises(SingularMatrix):
             d_n(0.3, 4, sign)

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import loggamma
 
 from whdet import (
+    BetaContext,
     DomainError,
     LineKind,
     LineSymbol,
@@ -25,6 +28,7 @@ from whdet import (
     rel_exp_diff,
     wh_rule,
 )
+from whdet.params import _STRIPS
 
 from _quad_oracle import geometric_mean_log_numeric
 
@@ -83,18 +87,44 @@ class TestDetWrPmHr:
                 assert abs(math.remainder(ld.arg, 2 * math.pi)) < 1e-9
 
 
+DOUBLING_DRAWS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+def strip_beta(ctx):
+    """Complex betas with |Im b| < 1/2 and Re b 1e-3 inside the ends of ctx's strip."""
+    lo, hi = _STRIPS[ctx]
+    return st.builds(complex, st.floats(lo + 1e-3, hi - 1e-3), st.floats(-0.5, 0.5))
+
+
+def doubling_residual(sym, R):
+    """det W_2R against det(W_R + H_R) det(W_R - H_R) on the matched rule."""
+    rule = wh_rule(R)
+    ldp = det_wr_pm_hr(TruncatedWH(sym, R, rule, +1))
+    ldm = det_wr_pm_hr(TruncatedWH(sym, R, rule, -1))
+    return rel_exp_diff(det_w2r(sym, 2.0 * R, reflected_union_rule(rule)), ldp + ldm)
+
+
 class TestDoublingIdentity:
     @pytest.mark.parametrize("beta", [0.3, -0.25])
     def test_matched_union(self, beta):
-        sym = vhat(beta, 1e-3)
-        rule = wh_rule(10.0)
-        ldp = det_wr_pm_hr(TruncatedWH(sym, 10.0, rule, +1))
-        ldm = det_wr_pm_hr(TruncatedWH(sym, 10.0, rule, -1))
-        ld2 = det_w2r(sym, 20.0, reflected_union_rule(rule))
-        assert rel_exp_diff(ld2, ldp + ldm) < 1e-6
+        assert doubling_residual(vhat(beta, 1e-3), 10.0) < 1e-6
 
     def test_beta_zero(self):
         assert det_w2r(vhat(0.0, 0.1), 8.0).ln_abs == 0.0
+
+    # Complex betas over each symbol's strip, 1e-3 from its ends.  Measured
+    # worst: 1.1e-10 for vhat_eps (at b = -0.999 + 0.3i) and 2.1e-14 for phi.
+    # The identity needs an even symbol, so UHAT_EPS is left out: its
+    # residual is 8.4 at b = -0.999 + 0.3i.
+    @DOUBLING_DRAWS
+    @given(b=strip_beta(BetaContext.KERNEL_FAMILY))
+    def test_matched_union_vhat_eps_over_strip(self, b):
+        assert doubling_residual(vhat(b, 1e-3), 5.0) <= 1e-9
+
+    @DOUBLING_DRAWS
+    @given(b=strip_beta(BetaContext.SECH))
+    def test_matched_union_phi_over_strip(self, b):
+        assert doubling_residual(LineSymbol(LineKind.PHI, beta=b), 5.0) <= 1e-9
 
 
 class TestSechLab:
