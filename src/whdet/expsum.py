@@ -19,14 +19,16 @@ e^{-eta_q i}: H = E diag(w) E^T with E_{jq} = e^{-eta_q j}, so
 det(I + H) = det(I_r + diag(w) G) for the Gram matrix G = E^T E, a
 geometric sum in closed form at any number of rows, infinity included.
 
-``expsum_logdet`` takes log det(I + S (T_k + U M U^T) S), where
+``expsum_logdet`` takes log det(I + S (T_k + E M E^T) S), where
 T_k(i, j) = k(x_i - x_j) on sorted nodes, S = diag(sqrt(quadrature
-weights)) and U M U^T is a low-rank term, in O(N r^2) time and O(N r)
-memory for r exponentials: the block LU of a quasiseparable matrix
-(Gohberg, Kailath & Koltracht, "Linear complexity algorithms for
-semiseparable matrices", IEOT 8, 1985), one panel of PANEL nodes at a
-time.  Every factor it forms is an e^{-eta d} with d >= 0, so no
-truncation length can overflow it.
+weights)) and E M E^T, E_iq = e^{-eta_q x_i}, is a Hankel term on the
+kernel's own exponents, in O(N r^2) time and O(N r) memory for r
+exponentials: the block LU of a quasiseparable matrix (Gohberg, Kailath &
+Koltracht, "Linear complexity algorithms for semiseparable matrices",
+IEOT 8, 1985), one panel of PANEL nodes at a time, on an r x r state.
+The Hankel term is the recursion's starting state, its left boundary
+condition, not extra generators.  Every factor it forms is an e^{-eta d}
+with d >= 0, so no truncation length can overflow it.
 """
 
 from __future__ import annotations
@@ -163,21 +165,24 @@ def _fit(eta, fit) -> ExpSum:
     return ExpSum(eta[keep], w_pos, w_neg, interp, float(err / scale) if scale else 0.0)
 
 
-def expsum_logdet(k: ExpSum, rule: QuadRule, U: Optional[np.ndarray] = None,
-                  M: Optional[np.ndarray] = None) -> LogDet:
-    """log det(I + S (T_k + U M U^T) S) on the nodes of ``rule``.
+def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> LogDet:
+    """log det(I + S (T_k + E M E^T) S) on the nodes of ``rule``.
 
-    S = diag(sqrt(rule.weights)), T_k(i, j) = k(x_i - x_j); U (N x m) and
-    M (m x m) are an optional low-rank term.  The nodes are
-    taken in increasing order and cut into panels of PANEL; e_I is the
-    last node of panel I.  Below the diagonal T_k has the generators
+    S = diag(sqrt(rule.weights)), T_k(i, j) = k(x_i - x_j), and the
+    optional Hankel term has E_iq = e^{-eta_q x_i} and M (terms x terms).
+    The nodes are taken in increasing order and cut into panels of PANEL;
+    e_I is the last node of panel I and e_{-1} = x_0 the first node.
+    Below the diagonal T_k has the generators
     p_i = e^{-eta (x_i - e_{I-1})} and q_j = w_pos e^{-eta (e_J - x_j)},
     and the transitions a_I = e^{-eta (e_I - e_{I-1})} <= 1 between them;
-    above it the same with w_neg; U M U^T adds m generators of transition 1.
-    With state f (zero before the first panel), panel I contributes
+    above it the same with w_neg.  With state f, panel I contributes
     log det(gamma_I), gamma_I = D_I - p f p^T, and
     f <- a f a + (a f p^T - q^T) gamma_I^{-1} (p f a - q).
-    Each gamma_I is factored by ``logdet.lu_logdet``.
+    Eliminating a leading block with inverse f, coupled to every node
+    through the generators p, leaves -p f p^T behind, carried forward by
+    the transitions; since p_i D = E_i for D = diag(e^{-eta x_0}), the state
+    starts at f = -D M D, in place of zero, and the Hankel term needs no
+    generators of its own.  Each gamma_I is factored by ``logdet.lu_logdet``.
     """
     order = np.argsort(rule.nodes, kind="stable")
     x = rule.nodes[order]
@@ -192,23 +197,15 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, U: Optional[np.ndarray] = None,
     q = s[:, None] * np.exp(-np.multiply.outer(ends[panel] - x, eta))
     a = np.exp(-np.multiply.outer(ends - refs, eta))
     h_pos, h_neg = q * k.w_pos, q * k.w_neg
-    symmetric = k.even
-    if U is not None:
-        su = s[:, None] * U[order]
-        p = np.hstack([p, su])
-        h_pos = np.hstack([h_pos, su @ M.T])
-        h_neg = np.hstack([h_neg, su @ M])
-        a = np.hstack([a, np.ones((len(starts), su.shape[1]))])
-        symmetric = symmetric and np.array_equal(M, M.T)
-    dtype = np.result_type(p, h_pos, h_neg)
-    f = np.zeros((p.shape[1], p.shape[1]), dtype=dtype)
+    M = np.zeros((k.terms, k.terms)) if M is None else M
+    symmetric = k.even and np.array_equal(M, M.T)
+    d = np.exp(-eta * x[0])
+    f = -(d[:, None] * M * d).astype(np.result_type(p, h_pos, h_neg, M))
     lds = []
     for i, lo in enumerate(starts):
         sl = slice(lo, lo + PANEL)
         xi, si, pi, ai = x[sl], s[sl], p[sl], a[i]
         block = k.block(xi) * np.multiply.outer(si, si)
-        if U is not None:
-            block += su[sl] @ M @ su[sl].T
         block[np.diag_indices_from(block)] += 1.0
         fp = f @ pi.T
         ld, lu = lu_logdet(block - pi @ fp)

@@ -23,8 +23,9 @@ FINITE            any finite b        CircleSymbol, the other LineSymbol kinds,
                                       det_tn_exact, ln_det_hankel_reg_exact
 
 The other inputs are read the same way, before any allocation: a matrix
-order, truncation or panel count by ``check_order``, a length or scale by
-``check_positive``, a regularization eps by ``check_eps``.
+order, truncation or panel count by ``check_order``, a Fourier index by
+``check_index``, a length or scale by ``check_positive``, a regularization
+eps by ``check_eps``.
 
 ``working_beta`` picks the arithmetic of every dense route from beta.
 """
@@ -121,6 +122,15 @@ def check_order(n, name: str = "n") -> int:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
     return int(n)
+
+
+def check_index(k) -> np.ndarray:
+    """Reject a Fourier index that is not an integer, a numpy integer or an
+    integer-dtype array; return it as an array."""
+    arr = np.asarray(k)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError(f"index k must be an integer or an integer array, got {arr.dtype}")
+    return arr
 
 
 def check_positive(x, name: str) -> None:

@@ -24,8 +24,8 @@ from scipy.special import loggamma, roots_jacobi
 
 from .errors import DomainError, SingularPointError
 from .expsum import CoeffSum, ExpSum, fit_even
-from .params import (BetaContext, check_beta, check_eps, is_near_nonpositive_integer,
-                     working_beta)
+from .params import (BetaContext, check_beta, check_eps, check_index,
+                     is_near_nonpositive_integer, working_beta)
 from .specfun import sin_pi
 
 
@@ -147,7 +147,7 @@ def fourier_coeff_v(beta, k):
     reciprocal Gamma vanishes for |k| > b.
     """
     b = check_beta(beta, BetaContext.MATRIX)
-    k = np.asarray(k)
+    k = check_index(k)
     m = np.abs(k)
     live = np.ones(k.shape, dtype=bool)
     if is_near_nonpositive_integer(-b):
@@ -172,7 +172,7 @@ def fourier_coeff_u(beta, k):
     delta_{k,b} when b is an integer.
     """
     b = check_beta(beta, BetaContext.FINITE)
-    k = np.asarray(k)
+    k = check_index(k)
     bw = working_beta(b)
     if abs(b.imag) < 1e-14 and abs(b.real - round(b.real)) < 1e-14:
         m = round(b.real)

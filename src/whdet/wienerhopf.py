@@ -4,8 +4,9 @@ discretization, and the sech-symbol laboratory.
 Every kernel is a compressed exponential sum k(u) = sum_q w_q e^{-eta_q |u|}
 of a few dozen terms (``symbols.cut_kernel``, ``symbols.sech_kernel``).
 The W-block k(x_i - x_j) is then quasiseparable, and the H-block
-k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j} is of rank r, so
-``expsum.expsum_logdet`` takes every determinant here in O(N r^2) time and
+k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j} is the left boundary
+condition of the same recursion: ``expsum.expsum_logdet`` starts its
+r x r state from it, and takes every determinant here in O(N r^2) time and
 O(N r) memory, at any truncation R; no N x N matrix is formed.
 """
 
@@ -65,10 +66,24 @@ class TruncatedWH:
     sign: int = +1
 
     def __post_init__(self):
-        if self.symbol.kind not in _SUPPORTED:
-            raise DomainError(f"symbol kind {self.symbol.kind} not supported for truncation")
+        _check_kind(self.symbol)
         check_positive(self.R, "R")
         check_sign(self.sign)
+
+
+def _check_kind(symbol: LineSymbol) -> None:
+    if symbol.kind not in _SUPPORTED:
+        raise DomainError(f"symbol kind {symbol.kind} not supported for truncation")
+
+
+def _rule_on(R: float, rule: Optional[QuadRule]) -> QuadRule:
+    """``rule``, which must live on [0, R], or ``wh_rule(R)`` if None."""
+    if rule is None:
+        return wh_rule(R)
+    lo, hi = rule.interval
+    if lo != 0.0 or abs(hi - R) > 1e-12:
+        raise DomainError(f"rule interval {rule.interval} does not match [0, {R}]")
+    return rule
 
 
 def _kernel(symbol: LineSymbol) -> ExpSum:
@@ -79,21 +94,17 @@ def _kernel(symbol: LineSymbol) -> ExpSum:
 
 def det_wr_pm_hr(t: TruncatedWH) -> LogDet:
     """log det of I + [k(x_i - x_j) +- k(x_i + x_j)] under symmetrized weights."""
-    rule = t.rule or wh_rule(t.R)
-    if abs(rule.interval[1] - t.R) > 1e-12 or rule.interval[0] != 0.0:
-        raise DomainError(f"rule interval {rule.interval} does not match [0, {t.R}]")
+    rule = _rule_on(t.R, t.rule)
     k = _kernel(t.symbol)
     # H-block: k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j}
-    U = np.exp(-np.multiply.outer(rule.nodes, k.eta))
-    return expsum_logdet(k, rule, U, np.diag(t.sign * k.w_pos))
+    return expsum_logdet(k, rule, np.diag(t.sign * k.w_pos))
 
 
 def det_w2r(symbol: LineSymbol, R2: float, rule: Optional[QuadRule] = None) -> LogDet:
     """log det W_{R2}(a) = log det of I + k(x_i - x_j) on [0, R2]."""
-    if symbol.kind not in _SUPPORTED:
-        raise DomainError(f"symbol kind {symbol.kind} not supported for truncation")
+    _check_kind(symbol)
     check_positive(R2, "R2")
-    return expsum_logdet(_kernel(symbol), rule or wh_rule(R2))
+    return expsum_logdet(_kernel(symbol), _rule_on(R2, rule))
 
 
 def factor_product_logdet(beta, eps: float, R: float,
@@ -111,7 +122,7 @@ def factor_product_logdet(beta, eps: float, R: float,
     b = working_beta(check_beta(beta, BetaContext.KERNEL_FAMILY))
     check_eps(eps)
     check_positive(R, "R")
-    rule = rule or wh_rule(R)
+    rule = _rule_on(R, rule)
     # cut representation of k_+ (supported on w > 0): W_q e^{-eta_q w}
     eta, W = cut_rule(eps, b)
     W = -sin_pi(b) / np.pi * W
@@ -119,7 +130,8 @@ def factor_product_logdet(beta, eps: float, R: float,
     # g2(u) = sum_q' [sum_q G_qq'] e^{-eta_q' u}
     G = np.multiply.outer(W, W) / np.add.outer(eta, eta)
     k = ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)).compress()
-    # A^T G A through the compressed exponents: e^{-eta u} ~ e^{-eta_J u} interp
-    U = np.exp(-np.multiply.outer(R - rule.nodes, k.eta))
+    # A^T G A through the compressed exponents: e^{-eta u} ~ e^{-eta_J u} interp;
+    # A is anchored at x = R, so the Hankel term reads the mirrored nodes R - x
     M = k.interp @ G @ k.interp.T
-    return expsum_logdet(k, rule, U, -0.5 * (M + M.T))
+    mirrored = QuadRule(R - rule.nodes, rule.weights, rule.interval)
+    return expsum_logdet(k, mirrored, -0.5 * (M + M.T))

@@ -57,3 +57,13 @@ def test_closed_forms_behind_one_module():
             assigned = {n.id for n in ast.walk(tree)
                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
             assert not {"LN_2", "LN_2PI"} & assigned, path.stem
+
+
+def test_expsum_takes_kernels_not_symbols():
+    """``expsum`` imports nothing from the package but ``errors``, ``logdet``
+    and ``quadrature``: its recursion takes an exponential sum and a Hankel
+    term M, never a symbol or a route."""
+    tree = ast.parse((ROOT / "src" / "whdet" / "expsum.py").read_text())
+    package = {p.stem for p in (ROOT / "src" / "whdet").glob("*.py")} | {"whdet", ""}
+    imported = {m for m, _ in _module_imports(tree) if m in package}
+    assert imported <= {"errors", "logdet", "quadrature"}, imported

@@ -259,6 +259,49 @@ def test_non_integer_order_rejected(name):
         NON_INTEGER_ORDERS[name]()
 
 
+# each Fourier-coefficient function, given a non-integer index: both returned
+# a Gamma continuation, fourier_coeff_v(0.3, 2.5) = -0.0540 between the
+# coefficients at k = 2 and 3
+NON_INTEGER_INDICES = {
+    "fourier_coeff_v(2.5)": lambda: fourier_coeff_v(0.3, 2.5),
+    "fourier_coeff_v(float array)": lambda: fourier_coeff_v(0.3, np.arange(4.0)),
+    "fourier_coeff_u(2.5)": lambda: fourier_coeff_u(0.3, 2.5),
+    "fourier_coeff_u(float array)": lambda: fourier_coeff_u(0.3, np.array([1.0, 2.5])),
+    "fourier_coeff_u(integer beta)": lambda: fourier_coeff_u(2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INDICES))
+def test_non_integer_index_rejected(name):
+    with pytest.raises(DomainError, match="integer"):
+        NON_INTEGER_INDICES[name]()
+
+
+def test_integer_index_kinds_accepted():
+    want = fourier_coeff_v(0.3, np.arange(3))
+    assert fourier_coeff_v(0.3, np.int32(2)) == want[2] == fourier_coeff_v(0.3, 2)
+    assert np.array_equal(fourier_coeff_u(0.3, np.arange(3, dtype=np.int16)),
+                          fourier_coeff_u(0.3, np.arange(3)))
+
+
+# every Wiener-Hopf route, given a rule on another interval than [0, R]:
+# det_w2r(vhat_eps(0.3, 1e-3), 10, wh_rule(5)) returned det W_5
+OTHER_INTERVALS = {
+    "det_wr_pm_hr": lambda rule, R: det_wr_pm_hr(TruncatedWH(_vhat(0.3), R, rule)),
+    "det_w2r": lambda rule, R: det_w2r(_vhat(0.3), R, rule),
+    "factor_product_logdet": lambda rule, R: factor_product_logdet(0.3, 0.1, R, rule=rule),
+}
+
+
+@pytest.mark.parametrize("interval", [(0.0, 5.0), (1.0, 10.0), (0.0, 20.0)])
+@pytest.mark.parametrize("name", sorted(OTHER_INTERVALS))
+def test_rule_on_another_interval_rejected(name, interval, monkeypatch):
+    rule = gauss_rule(4, interval, ("uniform", 2))
+    monkeypatch.setattr(wienerhopf, "expsum_logdet", _unreachable)
+    with pytest.raises(DomainError, match="does not match"):
+        OTHER_INTERVALS[name](rule, 10.0)
+
+
 def test_numpy_integer_order_accepted():
     assert d_n(0.3, np.int64(4), +1) == d_n(0.3, 4, +1)
     assert d_n_exact(0.3, np.int32(4), -1) == d_n_exact(0.3, 4, -1)
