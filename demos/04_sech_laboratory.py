@@ -13,7 +13,7 @@ import numpy as np
 
 from whdet import (
     KernelFamily, KernelSpec, LineKind, LineSymbol, akhiezer_kac_E, det_w2r,
-    fredholm_logdet, gauss_rule, ln_akhiezer_kac_E, nystrom, wh_rule,
+    fredholm_logdet, gauss_rule, geometric_ends, ln_akhiezer_kac_E, nystrom, wh_rule,
 )
 
 beta = 0.3
@@ -31,7 +31,7 @@ print("\nsame determinant through the Cauchy kernel on [e^{-s}, 1]:")
 s = 10.0
 epsc = float(np.exp(-s))
 spec = KernelSpec(KernelFamily.K0, beta=beta)  # kernel -sin(pi b)/(pi(x+y))
-rule = gauss_rule(16, (epsc, 1.0), grading=("geometric", 30, 10))
+rule = gauss_rule(16, geometric_ends(epsc, 1.0, 30, 10))
 ld_k = fredholm_logdet(nystrom(spec, rule), +1)
 ld_w = det_w2r(sym, s, wh_rule(s))
 print(f"  Cauchy-kernel route: {ld_k.ln_abs:+.10f}")

@@ -42,7 +42,7 @@ from .fredholm import (
 from .expsum import CoeffSum, ExpSum, expsum_logdet, hankel_logdet
 from .logdet import LogDet, logdet, rel_exp_diff
 from .params import BetaContext, check_beta
-from .quadrature import QuadRule, gauss_rule
+from .quadrature import QuadRule, gauss_rule, geometric_ends
 from .specfun import (
     barnes_ratio_asymptote,
     duplication_residual,

@@ -248,8 +248,14 @@ def hankel_logdet(c: CoeffSum, sign: int, start: int = 0, stop: float = math.inf
     I + sign [[A, B G], [B^T, diag(v) G]], G = E^T E:
     G_pq = sum_{j<L} e^{-(eta_p + eta_q) j} = expm1(-a L)/expm1(-a),
     a = eta_p + eta_q, over the L = stop - f tail rows (-1/expm1(-a) at
-    L infinite).  No matrix of the order of the section is formed.
+    L infinite).  No matrix of the order of the section is formed.  start
+    must be an integer >= 0 and stop an integer > start or math.inf.
     """
+    integer = (int, np.integer)
+    if not (isinstance(start, integer) and start >= 0
+            and (isinstance(stop, integer) or stop == math.inf)):
+        raise DomainError(f"section [{start!r}, {stop!r}) needs an integer start >= 0"
+                          " and an integer or infinite stop")
     m = len(c.lead)
     first = max(start, m)
     if not stop > first:

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .logdet import LogDet, check_dense, logdet
 from .params import (BetaContext, check_beta, check_eps, check_order, check_positive,
                      check_sign, working_beta)
-from .quadrature import QuadRule, gauss_rule
+from .quadrature import QuadRule, gauss_rule, geometric_ends
 from .specfun import sin_pi
 
 
@@ -108,14 +108,18 @@ class NystromOp:
     matrix: np.ndarray
 
 
-def default_rule(spec: KernelSpec, nodes: int = 16, levels: Optional[int] = None) -> QuadRule:
-    """Graded rule adapted to the family's endpoint singularities."""
+def default_rule(spec: KernelSpec, nodes: int = 16) -> QuadRule:
+    """Graded rule adapted to the family's endpoint singularities.
+
+    HBETA's (1, inf) is mapped by x = 1/t onto (0, 1], graded toward
+    t = 0, with the Jacobian 1/t^2 folded into the weights."""
     lo, hi = spec.interval
     if np.isinf(hi):
-        lv = levels or 36
-        return gauss_rule(nodes, (lo, np.inf), grading=("geometric", 0, lv))
-    lv = levels or max(30, int(np.ceil(-np.log2(max(lo, 1e-14)))) + 20)
-    return gauss_rule(nodes, (lo, hi), grading=("geometric", lv, 26))
+        inner = gauss_rule(nodes, geometric_ends(0.0, 1.0 / lo, 0, 36))
+        return QuadRule(1.0 / inner.nodes[::-1], (inner.weights / inner.nodes**2)[::-1],
+                        (lo, np.inf))
+    levels = max(30, int(np.ceil(-np.log2(max(lo, 1e-14)))) + 20)
+    return gauss_rule(nodes, geometric_ends(lo, hi, levels, 26))
 
 
 def nystrom(spec: KernelSpec, rule: Optional[QuadRule] = None) -> NystromOp:

@@ -23,7 +23,8 @@ FINITE            any finite b        CircleSymbol, the other LineSymbol kinds,
                                       det_tn_exact, ln_det_hankel_reg_exact
 
 The other inputs are read the same way, before any allocation: a matrix
-order, truncation or panel count by ``check_order``, a Fourier index by
+order, truncation, panel count, nodes per panel or largest coefficient
+index by ``check_order``, a Fourier index by
 ``check_index``, a length or scale by ``check_positive``, a regularization
 eps by ``check_eps``.
 
@@ -116,11 +117,12 @@ def check_sign(sign) -> None:
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
 
 
-def check_order(n, name: str = "n") -> int:
-    """Reject a matrix order, truncation or panel count that is not an
-    integer >= 1 (numpy integers included); return it as an int."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+def check_order(n, name: str = "n", least: int = 1) -> int:
+    """Reject a matrix order, truncation, panel count or largest index that
+    is not an integer >= least (numpy integers included); return it as an
+    int."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
     return int(n)
 
 

@@ -19,13 +19,14 @@ from typing import Optional
 
 import numpy as np
 import scipy.fft
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import legvander
 from scipy.special import loggamma, roots_jacobi
 
 from .errors import DomainError, SingularPointError
 from .expsum import CoeffSum, ExpSum, fit_even
-from .params import (BetaContext, check_beta, check_eps, check_index,
+from .params import (BetaContext, check_beta, check_eps, check_index, check_order,
                      is_near_nonpositive_integer, working_beta)
+from .quadrature import gauss_rule
 from .specfun import sin_pi
 
 
@@ -183,7 +184,8 @@ def fourier_coeff_u(beta, k):
 
 
 def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
-    """Coefficients k = -kmax..kmax of a regularized symbol, as one array.
+    """Coefficients k = -kmax..kmax of a regularized symbol, as one array;
+    kmax must be an integer >= 0.
 
     One FFT of the symbol sampled at M equispaced angles.  The symbol is
     analytic on r < |t| < 1/r, so the coefficients decay like r^|k| and
@@ -195,6 +197,7 @@ def reg_coeff_table(s: CircleSymbol, kmax: int) -> np.ndarray:
     """
     if s.kind not in _REGULARIZED_CIRCLE:
         raise DomainError("coefficient table only for regularized kinds")
+    kmax = check_order(kmax, "kmax", least=0)
     real = isinstance(working_beta(complex(s.beta)), float)
     if s.r == 0.0:
         out = np.zeros(2 * kmax + 1, dtype=float if real else complex)
@@ -227,7 +230,8 @@ def jump_coeff_sum(s: CircleSymbol, kmax: Optional[int] = None) -> CoeffSum:
     each octave of d, from a stub where every term is smooth (d K <= 1/10
     for the K = kmax or 40/(-ln r) coefficients that matter; r^K = e^{-40})
     up to where e^{-d/2} falls below e^{-40}, and ``ExpSum.compress`` keeps
-    the exponentials eta = d - ln r that matter.
+    the exponentials eta = d - ln r that matter.  A kmax that is not an
+    integer >= 1, and r = 0, where u_{b,r} is 1, raise DomainError.
     """
     if s.kind not in (CircleKind.UBETA, CircleKind.UBETA_R):
         raise DomainError(f"no coefficient sum for symbol kind {s.kind}")
@@ -235,6 +239,10 @@ def jump_coeff_sum(s: CircleSymbol, kmax: Optional[int] = None) -> CoeffSum:
     r = 1.0 if s.kind is CircleKind.UBETA else s.r
     if r == 1.0 and kmax is None:
         raise DomainError("the sum for u_b needs the largest index kmax")
+    if kmax is not None:
+        check_order(kmax, "kmax")
+    if r == 0.0:
+        raise DomainError("u_(b,r) at r = 0 is 1: no coefficients k >= 1 to sum")
     m = max(0, math.ceil(np.real(b) + 0.5) - 1)
     if r < 1.0 and np.real(b) <= -1.0:
         raise DomainError(f"u_(b,r) coefficient sum needs Re b > -1, got b={b}")
@@ -305,18 +313,16 @@ def cut_rule(eps: float, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _graded(bounds, e, nodes: int = 12):
     """Nodes d and weights W with sum_j W_j f(d_j) ~ int_0^B f(d) d^e dd for
-    f smooth on [0, B], B = max(bounds): ``nodes`` Gauss-Legendre nodes on
-    each panel between consecutive ``bounds`` (monotone, geometric toward
-    0), and as many on the stub [0, delta], delta = min(bounds), by product
-    integration against d^e (see ``cut_rule``)."""
-    xg, wg = leggauss(nodes)
-    half = 0.5 * np.abs(np.diff(bounds))
-    d = np.ravel(half[:, None] * xg + 0.5 * (bounds[:-1] + bounds[1:])[:, None])
-    w = np.ravel(half[:, None] * wg) * _pow(d, e)
-    delta = min(bounds[0], bounds[-1])
+    f smooth on [0, B], B = max(bounds): ``gauss_rule`` on the panel ends
+    ``bounds`` (monotone, geometric toward 0), and as many nodes on the stub
+    [0, delta], delta = min(bounds), by product integration against d^e
+    (see ``cut_rule``)."""
+    rule = gauss_rule(nodes, bounds)
+    delta = rule.interval[0]
     xj, _ = roots_jacobi(nodes, 0.0, float(np.real(e)))
-    d = np.concatenate([d, 0.5 * delta * (1.0 + xj)])
-    return d, np.concatenate([w, _pow(delta, 1.0 + e) * _stub_weights(xj, e)])
+    return (np.concatenate([rule.nodes, 0.5 * delta * (1.0 + xj)]),
+            np.concatenate([rule.weights * _pow(rule.nodes, e),
+                            _pow(delta, 1.0 + e) * _stub_weights(xj, e)]))
 
 
 def _stub_weights(x, e):

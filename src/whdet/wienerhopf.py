@@ -41,7 +41,7 @@ def wh_rule(R: float, panels: Optional[int] = None, nodes: int = 16) -> QuadRule
     """
     check_positive(R, "R")
     panels = max(16, int(math.ceil(2.0 * R))) if panels is None else check_order(panels, "panels")
-    return gauss_rule(nodes, (0.0, R), grading=("uniform", panels))
+    return gauss_rule(nodes, R * np.linspace(0.0, 1.0, panels + 1))
 
 
 def reflected_union_rule(rule: QuadRule) -> QuadRule:

@@ -219,12 +219,12 @@ class TestCBeta:
         # C_{+-b} = lim det(I +- H(uhat_{b,eps})) / det(I +- K0 on [eps,1]):
         # estimated at eps=1e-4 through the closed form and the Nystrom
         # restriction of the Cauchy kernel
-        from whdet import (KernelFamily, KernelSpec, fredholm_logdet,
-                           gauss_rule, ln_det_hankel_reg_exact, nystrom)
+        from whdet import (KernelFamily, KernelSpec, fredholm_logdet, gauss_rule,
+                           geometric_ends, ln_det_hankel_reg_exact, nystrom)
         b, eps = 0.2, 1e-4
         r = (1 - eps) / (1 + eps)
         spec = KernelSpec(KernelFamily.K0, beta=b)
-        rule = gauss_rule(16, (eps, 1.0), grading=("geometric", 40, 12))
+        rule = gauss_rule(16, geometric_ends(eps, 1.0, 40, 12))
         for sign in (+1, -1):
             num = ln_det_hankel_reg_exact(b, r, sign)
             den = fredholm_logdet(nystrom(spec, rule), sign)

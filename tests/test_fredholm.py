@@ -17,6 +17,7 @@ from whdet import (
     finite_section_quotient,
     fredholm_logdet,
     gauss_rule,
+    geometric_ends,
     hankel_section_inverse_det,
     kernel_eval,
     logdet,
@@ -38,22 +39,35 @@ class TestGaussRule:
         assert abs(np.sum(r.weights * r.nodes**3) - 0.25) < 1e-14
 
     def test_weights_sum_to_length(self):
-        r = gauss_rule(12, (0.25, 2.5), grading=("geometric", 10, 8))
+        r = gauss_rule(12, geometric_ends(0.25, 2.5, 10, 8))
         assert abs(np.sum(r.weights) - 2.25) < 1e-12
 
     def test_nodes_increasing(self):
-        r = gauss_rule(8, (0.0, 1.0), grading=("geometric", 6, 6))
+        r = gauss_rule(8, geometric_ends(0.0, 1.0, 6, 6))
         assert np.all(np.diff(r.nodes) > 0)
 
     def test_mapped_semi_infinite(self):
-        r = gauss_rule(16, (1.0, np.inf), grading=("geometric", 0, 20))
+        r = default_rule(KernelSpec(KernelFamily.HBETA, beta=0.3))
         got = np.sum(r.weights * r.nodes**-3.0)
         assert abs(got - 0.5) < 1e-10
 
     def test_endpoint_singularity(self):
-        r = gauss_rule(16, (0.0, 1.0), grading=("geometric", 30, 0))
+        r = gauss_rule(16, geometric_ends(0.0, 1.0, 30, 0))
         got = np.sum(r.weights * r.nodes**-0.3)
         assert abs(got - 1.0 / 0.7) < 5e-9
+
+    @pytest.mark.parametrize("ends", [(0.0, 1.0), (0.0, 0.25, 1.0, 4.0),
+                                      (1.0, 0.5, 0.25, 0.125)])
+    def test_panels_follow_the_ends(self, ends):
+        # the panel loop written out: panels in the order of the ends (so a
+        # descending grading keeps its order), nodes ascending in each panel
+        xg, wg = np.polynomial.legendre.leggauss(6)
+        halves = [0.5 * abs(hi - lo) for lo, hi in zip(ends[:-1], ends[1:])]
+        mids = [0.5 * (lo + hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        r = gauss_rule(6, ends)
+        assert np.array_equal(r.nodes, np.concatenate([h * xg + c for h, c in zip(halves, mids)]))
+        assert np.array_equal(r.weights, np.concatenate([h * wg for h in halves]))
+        assert r.interval == (min(ends), max(ends))
 
     def test_min_nodes(self):
         with pytest.raises(DomainError):
@@ -139,7 +153,7 @@ class TestNystrom:
 
     def test_permutation_invariance(self):
         spec = KernelSpec(KernelFamily.KEPS_N, beta=0.3, n=1, eps=0.05)
-        op = nystrom(spec, default_rule(spec, nodes=8, levels=10))
+        op = nystrom(spec, gauss_rule(8, geometric_ends(spec.eps, 1.0, 10, 26)))
         rng = np.random.default_rng(1)
         perm = rng.permutation(op.matrix.shape[0])
         m = op.matrix[np.ix_(perm, perm)]
@@ -155,7 +169,7 @@ class TestDenseCap:
         # (5 N^2 entries) pass the cap; the rule itself is O(N)
         N = math.isqrt(_MAX_DENSE_BYTES // (5 * itemsize)) + 1
         check_dense("nystrom", N - 1, itemsize, 5)
-        rule = gauss_rule(2, (0.0, 1.0), grading=("uniform", -(-N // 2)))
+        rule = gauss_rule(2, np.linspace(0.0, 1.0, -(-N // 2) + 1))
         assert N <= len(rule) <= N + 1
 
         def unreachable(*args, **kwargs):
@@ -186,7 +200,7 @@ class TestFredholmLogdet:
         # node-doubling stable (on all of [0,1] it diverges with the
         # cutoff, matching the operator not being trace class there)
         spec = KernelSpec(KernelFamily.K0, beta=0.5)
-        rules = [gauss_rule(n, (1e-3, 1.0), grading=("geometric", 24, 10))
+        rules = [gauss_rule(n, geometric_ends(1e-3, 1.0, 24, 10))
                  for n in (16, 32)]
         v1 = fredholm_logdet(nystrom(spec, rules[0]), -1)
         v2 = fredholm_logdet(nystrom(spec, rules[1]), -1)
@@ -195,7 +209,7 @@ class TestFredholmLogdet:
 
     def test_cauchy_kernel_spectrum_in_unit_interval(self):
         # the 1/(pi(x+y)) kernel on [0,1]: spectrum inside [0, 1]
-        rule = gauss_rule(16, (0.0, 1.0), grading=("geometric", 12, 0))
+        rule = gauss_rule(16, geometric_ends(0.0, 1.0, 12, 0))
         x = rule.nodes
         sw = np.sqrt(rule.weights)
         m = sw[:, None] * (1.0 / (np.pi * np.add.outer(x, x))) * sw[None, :]

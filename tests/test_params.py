@@ -36,7 +36,9 @@ from whdet import (
     fredholm_logdet,
     gauss_rule,
     hankel,
+    hankel_logdet,
     hankel_section_inverse_det,
+    jump_coeff_sum,
     ln_akhiezer_kac_E,
     ln_c_beta,
     ln_det_hankel_reg_exact,
@@ -238,9 +240,25 @@ def test_strip_table(name, monkeypatch):
             call(bad)
 
 
-# every entry point that takes a matrix order or a truncation, given a
-# non-integer one: d_n returned D_4 at n = 4.5 and d_n_exact a Barnes-G
-# continuation between D_4 and D_5
+def _u_sum():
+    return jump_coeff_sum(CircleSymbol(CircleKind.UBETA_R, beta=0.3, r=0.5))
+
+
+def _u_b(kmax):
+    return jump_coeff_sum(CircleSymbol(CircleKind.UBETA, beta=0.3), kmax)
+
+
+def _v_table(kmax):
+    return reg_coeff_table(CircleSymbol(CircleKind.VBETA_R, beta=0.3, r=0.5), kmax)
+
+
+# every entry point that takes a matrix order, a truncation, a section bound,
+# a largest index or a node count, given a non-integer or out-of-range one:
+# d_n returned D_4 at n = 4.5 and d_n_exact a Barnes-G continuation between
+# D_4 and D_5; hankel_logdet(start=2.5) a value between those at start 2 and
+# 3, and start -3 raised SingularMatrix; jump_coeff_sum(kmax=0) raised a bare
+# ValueError, reg_coeff_table(-1) returned an empty table, and wh_rule and
+# gauss_rule, given a float node count, raised numpy's TypeError
 NON_INTEGER_ORDERS = {
     "d_n": lambda: d_n(0.3, 4.5, +1),
     "d_n_minors": lambda: d_n_minors(0.3, 4.5, +1),
@@ -250,6 +268,16 @@ NON_INTEGER_ORDERS = {
     "hankel_section_inverse_det(N)": lambda: hankel_section_inverse_det(0.3, 2, +1, N=64.5),
     "toeplitz": lambda: toeplitz(lambda k: fourier_coeff_v(0.3, k), 2.5),
     "hankel": lambda: hankel(lambda k: fourier_coeff_v(0.3, k), 2.5),
+    "hankel_logdet(start=2.5)": lambda: hankel_logdet(_u_sum(), +1, 2.5, 8),
+    "hankel_logdet(stop=7.5)": lambda: hankel_logdet(_u_sum(), +1, 0, 7.5),
+    "hankel_logdet(start=-3)": lambda: hankel_logdet(_u_sum(), +1, -3),
+    "jump_coeff_sum(kmax=0)": lambda: _u_b(0),
+    "jump_coeff_sum(kmax=-4)": lambda: _u_b(-4),
+    "jump_coeff_sum(kmax=2.5)": lambda: _u_b(2.5),
+    "reg_coeff_table(kmax=-1)": lambda: _v_table(-1),
+    "reg_coeff_table(kmax=2.5)": lambda: _v_table(2.5),
+    "wh_rule(nodes=2.5)": lambda: wh_rule(10.0, nodes=2.5),
+    "gauss_rule(m=3.0)": lambda: gauss_rule(3.0, (0, 1)),
 }
 
 
@@ -296,7 +324,7 @@ OTHER_INTERVALS = {
 @pytest.mark.parametrize("interval", [(0.0, 5.0), (1.0, 10.0), (0.0, 20.0)])
 @pytest.mark.parametrize("name", sorted(OTHER_INTERVALS))
 def test_rule_on_another_interval_rejected(name, interval, monkeypatch):
-    rule = gauss_rule(4, interval, ("uniform", 2))
+    rule = gauss_rule(4, np.linspace(*interval, 3))
     monkeypatch.setattr(wienerhopf, "expsum_logdet", _unreachable)
     with pytest.raises(DomainError, match="does not match"):
         OTHER_INTERVALS[name](rule, 10.0)
@@ -309,8 +337,9 @@ def test_numpy_integer_order_accepted():
 
 NAN, INF = float("nan"), float("inf")
 
-# every length, scale, panel count and regularization, given one that is not
-# finite or out of range; each was accepted, or failed later in numpy or LU
+# every length, scale, panel count, panel end and regularization, given one
+# that is not finite or out of range; each was accepted, or failed later in
+# numpy, math or LU
 BAD_LENGTHS = {
     "TruncatedWH(R=nan)": lambda: TruncatedWH(_vhat(0.3), NAN),
     "wh_rule(R=inf)": lambda: wh_rule(INF),
@@ -325,6 +354,14 @@ BAD_LENGTHS = {
         lambda: hankel_section_inverse_det(0.3, 2, +1, N=NAN),
     "asymptote_log(scale=nan)":
         lambda: asymptote_log(AsymptoteSpec(AsymKind.CONTINUOUS_PLUS, 0.3), NAN),
+    "jump_coeff_sum(r=0)":
+        lambda: jump_coeff_sum(CircleSymbol(CircleKind.UBETA_R, beta=0.3, r=0.0)),
+    "gauss_rule(ends not monotone)": lambda: gauss_rule(4, (0.0, 1.0, 0.5)),
+    "gauss_rule(ends repeated)": lambda: gauss_rule(4, (0.0, 0.5, 0.5, 1.0)),
+    "gauss_rule(ends=(1, inf))": lambda: gauss_rule(4, (1.0, INF)),
+    "gauss_rule(ends with nan)": lambda: gauss_rule(4, (0.0, 0.5, NAN, 1.0)),
+    "gauss_rule(one end)": lambda: gauss_rule(4, (0.0,)),
+    "gauss_rule(no ends)": lambda: gauss_rule(4, ()),
 }
 
 
