@@ -31,7 +31,7 @@ from . import asymptotics, expsum, fredholm, structured, symbols, wienerhopf
 from .asymptotics import AsymKind, AsymptoteSpec, asymptote_log
 from .errors import DomainError, WhdetError
 from .logdet import LogDet, logdet, rel_exp_diff
-from .params import BetaContext, check_beta
+from .params import BetaContext, check_beta, check_eps
 from .structured import RefinedLogDet
 
 CSV_HEADER = [
@@ -141,10 +141,10 @@ def parse_config(argv) -> RunConfig:
     for key, parse in (("n_range", _parse_range_ints), ("r_range", _parse_range_floats)):
         args[key] = parse(args[key]) if args[key] else None
     cfg = RunConfig(betas=[complex(r, i) for r, i in zip(res, ims)], **args)
-    if not (cfg.eps > 0 and cfg.nodes >= 2 and cfg.trunc_N >= 4 and 0 <= cfg.tol < math.inf
+    check_eps(cfg.eps)
+    if not (cfg.nodes >= 2 and cfg.trunc_N >= 4 and 0 <= cfg.tol < math.inf
             and (cfg.panels is None or cfg.panels >= 1)):
-        raise ValueError("knobs out of range (eps>0, nodes>=2, trunc-N>=4, panels>=1,"
-                         " finite tol>=0)")
+        raise ValueError("knobs out of range (nodes>=2, trunc-N>=4, panels>=1, finite tol>=0)")
     for b in cfg.betas:
         check_beta(b, COMMANDS[cfg.command].strip)
     if cfg.out:  # an empty --out writes to stdout

@@ -251,6 +251,8 @@ def hankel_logdet(c: CoeffSum, sign: int, start: int = 0, stop: float = math.inf
     L infinite).  No matrix of the order of the section is formed.  start
     must be an integer >= 0 and stop an integer > start or math.inf.
     """
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     integer = (int, np.integer)
     if not (isinstance(start, integer) and start >= 0
             and (isinstance(stop, integer) or stop == math.inf)):

@@ -1,9 +1,9 @@
 """Nystrom discretization of the explicit kernel family and the
 projection-quotient identity.
 
-The kernels all share the Cauchy-type 1/(x+y) factor with algebraic
-prefactors; graded composite Gauss panels toward the singular endpoints
-keep the discretized determinants accurate to ~1e-9.
+Each kernel is the Cauchy kernel 1/(x+y) times node factors (``kernel_eval``);
+graded composite Gauss panels toward the singular endpoints keep the
+discretized determinants accurate to ~1e-9.
 """
 
 from __future__ import annotations
@@ -61,43 +61,37 @@ class KernelSpec:
 
 
 def kernel_eval(spec: KernelSpec, x, y):
-    """Kernel value(s) at interior points; principal powers of the
-    positive algebraic factors, so real values for a real beta."""
+    """K(x, y) = -(sin pi b / pi) sigma(x) lambda(x) sigma(y) / (x + y) at interior
+    points of spec.interval = (lo, hi); principal powers of positive factors, so
+    real values for a real beta.  sigma(t) = ((1+t)(t-lo)/((1-t)(t+lo)))^{b/2}
+    for KN, KHAT_R (lo = 0: the eps = 0 members), KEPS_N and KHAT_EPS_R (lo = eps),
+    ((t-1)/(t+1))^{b/2} for HBETA, 1 for K0; lambda(x) = ((1-x)/(1+x))^{2n} for
+    KN and KEPS_N, e^{-2Rx} for KHAT_R and KHAT_EPS_R, 1 for K0 and HBETA.  x and
+    y broadcast, so x[:, None], x[None, :] takes the factors at the N nodes."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     b = working_beta(complex(spec.beta))
     lo, hi = spec.interval
-    if np.any(x + y <= 0):
-        raise DomainError("kernel needs x + y > 0")
-    if np.any((x <= lo) | (y <= lo)) or (np.isfinite(hi) and np.any((x >= hi) | (y >= hi))):
+    if not all(np.all((lo < t) & (t < hi)) for t in (x, y)):  # NaN included
         raise DomainError("kernel evaluated on or outside the interval boundary")
-    s = -sin_pi(b) / np.pi
+    xy = x + y
+    if np.any(xy <= 0):
+        raise DomainError("kernel needs x + y > 0")
     fam = spec.family
     if fam is KernelFamily.K0:
-        return s / (x + y)
-    if fam is KernelFamily.KN:
-        gx = (1.0 - x) / (1.0 + x)
-        gy = (1.0 - y) / (1.0 + y)
-        return s * gx ** (2 * spec.n - b / 2) * gy ** (-b / 2) / (x + y)
-    if fam is KernelFamily.KHAT_R:
-        gx = (1.0 - x) / (1.0 + x)
-        gy = (1.0 - y) / (1.0 + y)
-        return s * gx ** (-b / 2) * gy ** (-b / 2) * np.exp(-2 * spec.R * x) / (x + y)
-    if fam is KernelFamily.KEPS_N:
-        e = spec.eps
-        gx = (1.0 + x) * (x - e) / ((1.0 - x) * (x + e))
-        gy = (1.0 + y) * (y - e) / ((1.0 - y) * (y + e))
-        return s * (gx * gy) ** (b / 2) * ((1.0 - x) / (1.0 + x)) ** (2 * spec.n) / (x + y)
-    if fam is KernelFamily.KHAT_EPS_R:
-        e = spec.eps
-        gx = (1.0 + x) * (x - e) / ((1.0 - x) * (x + e))
-        gy = (1.0 + y) * (y - e) / ((1.0 - y) * (y + e))
-        return s * (gx * gy) ** (b / 2) * np.exp(-2 * spec.R * x) / (x + y)
-    if fam is KernelFamily.HBETA:
-        gx = (x - 1.0) / (x + 1.0)
-        gy = (y - 1.0) / (y + 1.0)
-        return s * (gx * gy) ** (b / 2) / (x + y)
-    raise DomainError(f"unknown family {fam}")
+        sx = sy = 1.0
+    elif fam is KernelFamily.HBETA:
+        sx, sy = (((t - 1.0) / (t + 1.0)) ** (b / 2) for t in (x, y))
+    else:
+        sx, sy = (((1.0 + t) * (t - lo) / ((1.0 - t) * (t + lo))) ** (b / 2) for t in (x, y))
+    lam = 1.0
+    if fam in (KernelFamily.KN, KernelFamily.KEPS_N):
+        lam = ((1.0 - x) / (1.0 + x)) ** (2 * spec.n)
+    elif fam in (KernelFamily.KHAT_R, KernelFamily.KHAT_EPS_R):
+        lam = np.exp(-2 * spec.R * x)
+    k = -sin_pi(b) / np.pi * sx * lam / xy
+    k *= sy  # in place: x + y and k are the only N x N arrays held
+    return k
 
 
 @dataclass(frozen=True)
@@ -134,12 +128,13 @@ def nystrom(spec: KernelSpec, rule: Optional[QuadRule] = None) -> NystromOp:
     if rule.interval[0] < lo - 1e-15 or rule.interval[1] > hi + 1e-15:
         raise DomainError(f"rule interval {rule.interval} outside family interval {(lo, hi)}")
     x = rule.nodes
-    # X, Y, the kernel and its two weighted products; complex for a complex beta
-    check_dense("nystrom", len(x), np.result_type(working_beta(complex(spec.beta))).itemsize, 5)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    K = kernel_eval(spec, X, Y)
+    # x + y and the kernel (see kernel_eval); complex for a complex beta
+    check_dense("nystrom", len(x), np.result_type(working_beta(complex(spec.beta))).itemsize, 2)
+    K = kernel_eval(spec, x[:, None], x[None, :])
     sw = np.sqrt(rule.weights)
-    return NystromOp(rule, sw[:, None] * K * sw[None, :])
+    K *= sw[:, None]
+    K *= sw
+    return NystromOp(rule, K)
 
 
 def fredholm_logdet(op: NystromOp, sign: int) -> LogDet:

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import ConvergenceWarning, DomainError, SingularMatrix
 from .expsum import hankel_logdet
-from .logdet import PIVOT_FLOOR, LogDet
+from .logdet import PIVOT_FLOOR, LogDet, check_dense
 from .params import BetaContext, check_beta, check_order, check_sign
 from .symbols import CircleKind, CircleSymbol, fourier_coeff_v, jump_coeff_sum
 
@@ -34,6 +34,7 @@ def toeplitz(coeffs, n: int) -> np.ndarray:
     on the index array -(n-1) .. n-1."""
     n = check_order(n)
     c = np.asarray(coeffs(np.arange(-(n - 1), n)))
+    check_dense("toeplitz", n, c.itemsize, 1)
     return scipy.linalg.toeplitz(c[n - 1:], c[n - 1::-1])
 
 
@@ -42,6 +43,7 @@ def hankel(coeffs, n: int) -> np.ndarray:
     accessor on the index array 1 .. 2n-1."""
     n = check_order(n)
     c = np.asarray(coeffs(np.arange(1, 2 * n)))
+    check_dense("hankel", n, c.itemsize, 1)
     return scipy.linalg.hankel(c[:n], c[n - 1:])
 
 

@@ -46,10 +46,12 @@ class TestConfig:
         assert main(["--command", "verify", "--eps", "-1"]) == 2
 
     @pytest.mark.parametrize("knob", [["--tol", "nan"], ["--tol", "inf"], ["--tol=-1e-6"],
-                                      ["--panels", "0"], ["--panels", "-2"]])
+                                      ["--panels", "0"], ["--panels", "-2"],
+                                      ["--eps", "1"], ["--eps", "1.5"]])
     def test_bad_knob_exit_2_before_any_route(self, knob, monkeypatch, capsys):
         # a NaN tol flagged every check, an infinite one passed every check,
-        # and panels < 1 failed in numpy only after verify ran its routes
+        # panels < 1 failed in numpy only after verify ran its routes, and
+        # eps >= 1 reached the routes, which reject it
         ran = []
         patch_runner(monkeypatch, "verify", lambda cfg: ran.append(cfg) or ([], []))
         assert main(["--command", "verify", *knob]) == 2

@@ -1,6 +1,7 @@
 """Quadrature rules, the explicit kernel family, Nystrom determinants and
 the projection-quotient identity."""
 
+import cmath
 import math
 import warnings
 
@@ -74,6 +75,24 @@ class TestGaussRule:
             gauss_rule(1, (0.0, 1.0))
 
 
+def _g(t):
+    return (1.0 - t) / (1.0 + t)
+
+
+def _g_eps(t, e=0.05):
+    return (1.0 + t) * (t - e) / ((1.0 - t) * (t + e))
+
+
+#: the algebraic factors of each truncated family at n = 3, R = 2, eps = 0.05
+PER_FAMILY = {
+    KernelFamily.KN: lambda b, x, y: _g(x) ** (6 - b / 2) * _g(y) ** (-b / 2),
+    KernelFamily.KHAT_R: lambda b, x, y: (_g(x) * _g(y)) ** (-b / 2) * math.exp(-4.0 * x),
+    KernelFamily.KEPS_N: lambda b, x, y: (_g_eps(x) * _g_eps(y)) ** (b / 2) * _g(x) ** 6,
+    KernelFamily.KHAT_EPS_R:
+        lambda b, x, y: (_g_eps(x) * _g_eps(y)) ** (b / 2) * math.exp(-4.0 * x),
+}
+
+
 class TestKernelEval:
     def test_beta_zero_vanishes(self):
         spec = KernelSpec(KernelFamily.K0, beta=0.0)
@@ -101,6 +120,12 @@ class TestKernelEval:
         with pytest.raises(DomainError):
             kernel_eval(spec, 0.1, 0.5)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_non_finite_node_rejected(self, x):
+        spec = KernelSpec(KernelFamily.HBETA, beta=0.3)
+        with pytest.raises(DomainError):
+            kernel_eval(spec, x, 2.0)
+
     def test_strip_guard(self):
         with pytest.raises(DomainError):
             KernelSpec(KernelFamily.K0, beta=1.2)
@@ -110,6 +135,17 @@ class TestKernelEval:
         got = kernel_eval(spec, 2.0, 3.0)
         want = -np.sin(0.4 * np.pi) / np.pi * ((1 / 3) * (2 / 4)) ** 0.2 / 5.0
         assert abs(got - want) < 1e-15
+
+    @pytest.mark.parametrize("x, y", [(0.3, 0.7), (0.85, 0.12)])
+    @pytest.mark.parametrize("b", [0.3, -0.35 + 0.2j])
+    @pytest.mark.parametrize("family", list(PER_FAMILY))
+    def test_truncated_families(self, family, b, x, y):
+        # each family's own closed form, its algebraic factors written out
+        spec = KernelSpec(family, beta=b, n=3, R=2.0, eps=0.05)
+        want = -cmath.sin(cmath.pi * b) / math.pi * PER_FAMILY[family](b, x, y) / (x + y)
+        got = kernel_eval(spec, x, y)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert np.iscomplexobj(got) == isinstance(b, complex)
 
 
 class TestNystrom:
@@ -151,6 +187,17 @@ class TestNystrom:
         op = nystrom(spec, rule)
         assert op.matrix.shape == (8, 8)
 
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_entries_are_weighted_kernel_values(self, family):
+        spec = KernelSpec(family, beta=-0.35 + 0.2j, n=3, R=2.0, eps=0.05)
+        lo = spec.interval[0]
+        rule = gauss_rule(3, (lo, lo + 0.5, lo + 0.9))
+        m = nystrom(spec, rule).matrix
+        x, sw = rule.nodes, np.sqrt(rule.weights)
+        for i, j in np.ndindex(m.shape):
+            want = sw[i] * kernel_eval(spec, x[i], x[j]) * sw[j]
+            assert abs(m[i, j] - want) <= 1e-15 * abs(want), (i, j)
+
     def test_permutation_invariance(self):
         spec = KernelSpec(KernelFamily.KEPS_N, beta=0.3, n=1, eps=0.05)
         op = nystrom(spec, gauss_rule(8, geometric_ends(spec.eps, 1.0, 10, 26)))
@@ -165,17 +212,17 @@ class TestNystrom:
 class TestDenseCap:
     @pytest.mark.parametrize("beta, itemsize", [(0.3, 8), (0.3 + 0.1j, 16)])
     def test_nystrom_over_cap_raises_before_assembly(self, beta, itemsize, monkeypatch):
-        # the smallest order whose X, Y, kernel and two weighted products
-        # (5 N^2 entries) pass the cap; the rule itself is O(N)
-        N = math.isqrt(_MAX_DENSE_BYTES // (5 * itemsize)) + 1
-        check_dense("nystrom", N - 1, itemsize, 5)
+        # the smallest order whose x + y and kernel (2 N^2 entries) pass the
+        # cap; the rule itself is O(N)
+        N = math.isqrt(_MAX_DENSE_BYTES // (2 * itemsize)) + 1
+        check_dense("nystrom", N - 1, itemsize, 2)
         rule = gauss_rule(2, np.linspace(0.0, 1.0, -(-N // 2) + 1))
         assert N <= len(rule) <= N + 1
 
         def unreachable(*args, **kwargs):
             raise AssertionError("an allocation over the dense cap was reached")
 
-        monkeypatch.setattr(np, "meshgrid", unreachable)
+        monkeypatch.setattr("whdet.fredholm.kernel_eval", unreachable)
         with pytest.raises(DomainError, match="nystrom of order"):
             nystrom(KernelSpec(KernelFamily.K0, beta=beta), rule)
 

@@ -146,6 +146,7 @@ SIGN_TAKERS = {
     "hankel_section_inverse_det": lambda s: hankel_section_inverse_det(0.3, 2, s, N=16),
     "ln_det_hankel_reg_exact": lambda s: ln_det_hankel_reg_exact(0.3, 0.5, s),
     "fredholm_det_hankel_reg": lambda s: fredholm_det_hankel_reg(0.3, 0.5, s),
+    "hankel_logdet": lambda s: hankel_logdet(_u_sum(), s, 0, 8),
     "fredholm_logdet": lambda s: fredholm_logdet(
         nystrom(KernelSpec(KernelFamily.K0, beta=0.3), gauss_rule(8, (0.0, 1.0))), s),
     "TruncatedWH": lambda s: TruncatedWH(

@@ -33,6 +33,7 @@ from whdet import (
     toeplitz,
 )
 from whdet import structured
+from whdet.logdet import _MAX_DENSE_BYTES, check_dense
 from whdet.params import is_near_nonpositive_integer
 
 from _barnes_oracle import mp_d_n
@@ -76,6 +77,21 @@ class TestMatrixBuilders:
     def test_hankel_index_symmetry(self):
         m = hankel(lambda k: fourier_coeff_v(0.35, k), 5)
         assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("beta, itemsize", [(0.3, 8), (0.3 + 0.1j, 16)])
+    @pytest.mark.parametrize("builder", ["toeplitz", "hankel"])
+    def test_over_cap_raises_before_assembly(self, builder, beta, itemsize, monkeypatch):
+        # the smallest order whose one n x n matrix passes the cap; the
+        # coefficients are O(n)
+        n = math.isqrt(_MAX_DENSE_BYTES // itemsize) + 1
+        check_dense(builder, n - 1, itemsize, 1)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an allocation over the dense cap was reached")
+
+        monkeypatch.setattr(scipy.linalg, builder, unreachable)
+        with pytest.raises(DomainError, match=f"{builder} of order {n} "):
+            getattr(structured, builder)(lambda k: fourier_coeff_v(beta, k), n)
 
 
 class TestLogDet:
