@@ -72,11 +72,9 @@ def kernel_eval(spec: KernelSpec, x, y):
     y = np.asarray(y, dtype=float)
     b = working_beta(complex(spec.beta))
     lo, hi = spec.interval
+    # every interval has lo >= 0, so x + y > 0 from here on
     if not all(np.all((lo < t) & (t < hi)) for t in (x, y)):  # NaN included
         raise DomainError("kernel evaluated on or outside the interval boundary")
-    xy = x + y
-    if np.any(xy <= 0):
-        raise DomainError("kernel needs x + y > 0")
     fam = spec.family
     if fam is KernelFamily.K0:
         sx = sy = 1.0
@@ -89,7 +87,7 @@ def kernel_eval(spec: KernelSpec, x, y):
         lam = ((1.0 - x) / (1.0 + x)) ** (2 * spec.n)
     elif fam in (KernelFamily.KHAT_R, KernelFamily.KHAT_EPS_R):
         lam = np.exp(-2 * spec.R * x)
-    k = -sin_pi(b) / np.pi * sx * lam / xy
+    k = -sin_pi(b) / np.pi * sx * lam / (x + y)
     k *= sy  # in place: x + y and k are the only N x N arrays held
     return k
 

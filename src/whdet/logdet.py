@@ -68,35 +68,33 @@ def logdet(matrix) -> LogDet:
     """Log-determinant of a square matrix via LU with partial pivoting.
 
     ln_abs sums log|pivot|; arg sums pivot arguments plus pi per row swap.
-    Raises SingularMatrix when a pivot magnitude falls below 1e-300.
+    Raises SingularMatrix when a pivot magnitude falls below 1e-300.  The
+    LU is a copy of the matrix, counted against the dense cap.
     """
-    return _factor(matrix)[0]
-
-
-def lu_logdet(matrix):
-    """``logdet`` together with the LU factors ``(lu, piv)`` it was read
-    from, for a caller that goes on to solve with them
-    (``scipy.linalg.lu_solve``)."""
-    return _factor(matrix)
-
-
-def _factor(matrix):
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        return LogDet(0.0, 0.0), None
+    n = a.shape[0]
+    if n == 0:
+        return LogDet(0.0, 0.0)
+    # the caller's matrix and the LU's copy of it
+    check_dense("logdet", n, a.itemsize, 2)
     lu, piv = lu_factor(a, check_finite=False)
-    diag = np.diag(lu)
+    return pivot_logdet(np.diag(lu), int(np.sum(piv != np.arange(n))))
+
+
+def pivot_logdet(diag, swaps: int) -> LogDet:
+    """The LogDet of an LU factorization from its pivots ``diag`` and its
+    number of row interchanges ``swaps``: ln_abs sums log|pivot|, arg sums
+    the pivot arguments plus pi per swap, since each interchange flips the
+    sign of the determinant.  Raises SingularMatrix when a pivot is not
+    finite or its magnitude falls below PIVOT_FLOOR."""
     mags = np.abs(diag)
     if not np.all(np.isfinite(mags)) or np.any(mags < PIVOT_FLOOR):
         raise SingularMatrix("pivot magnitude below 1e-300")
     ln_abs = float(np.sum(np.log(mags)))
-    if np.iscomplexobj(lu):
+    if np.iscomplexobj(diag):
         arg = float(np.sum(np.angle(diag)))
     else:
         arg = math.pi * int(np.sum(diag < 0))
-    # each row interchange flips the sign of the determinant
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    arg += math.pi * swaps
-    return LogDet(ln_abs, arg), (lu, piv)
+    return LogDet(ln_abs, arg + math.pi * swaps)

@@ -3,11 +3,16 @@ discretization, and the sech-symbol laboratory.
 
 Every kernel is a compressed exponential sum k(u) = sum_q w_q e^{-eta_q |u|}
 of a few dozen terms (``symbols.cut_kernel``, ``symbols.sech_kernel``).
-The W-block k(x_i - x_j) is then quasiseparable, and the H-block
-k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j} is the left boundary
-condition of the same recursion: ``expsum.expsum_logdet`` starts its
-r x r state from it, and takes every determinant here in O(N r^2) time and
-O(N r) memory, at any truncation R; no N x N matrix is formed.
+A branch-cut kernel is compressed on the window its determinant reads:
+[0, 2R] for det(W_R +- H_R), whose H-block reaches x_i + x_j = 2R, and
+[0, R2] for det W_R2, so the two sides of the doubling identity share one
+kernel; the factor-product determinant reads [0, R].  The sech kernel is
+one fit for every R.  The W-block k(x_i - x_j) is then quasiseparable,
+and the H-block k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j} is
+the left boundary condition of the same recursion:
+``expsum.expsum_logdet`` starts its r x r state from it, and takes every
+determinant here in O(N r^2) time and O(N r) memory, at any truncation R;
+no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -86,16 +91,21 @@ def _rule_on(R: float, rule: Optional[QuadRule]) -> QuadRule:
     return rule
 
 
-def _kernel(symbol: LineSymbol) -> ExpSum:
+def _kernel(symbol: LineSymbol, window: float) -> ExpSum:
+    """The symbol's kernel, to be read at |u| <= window: the branch-cut sum
+    compressed on that window, or the one sech fit."""
     if symbol.kind is LineKind.PHI:
         return sech_kernel(symbol.beta)
-    return cut_kernel(symbol)
+    return cut_kernel(symbol, window)
 
 
 def det_wr_pm_hr(t: TruncatedWH) -> LogDet:
-    """log det of I + [k(x_i - x_j) +- k(x_i + x_j)] under symmetrized weights."""
+    """log det of I + [k(x_i - x_j) +- k(x_i + x_j)] under symmetrized weights.
+
+    The H-block reads the kernel at x_i + x_j <= 2R, so it is compressed on
+    [0, 2R]: the window of det W_2R, the doubling identity's partner."""
     rule = _rule_on(t.R, t.rule)
-    k = _kernel(t.symbol)
+    k = _kernel(t.symbol, 2.0 * t.R)
     # H-block: k(x_i + x_j) = sum_q w_q e^{-eta_q x_i} e^{-eta_q x_j}
     return expsum_logdet(k, rule, np.diag(t.sign * k.w_pos))
 
@@ -104,7 +114,7 @@ def det_w2r(symbol: LineSymbol, R2: float, rule: Optional[QuadRule] = None) -> L
     """log det W_{R2}(a) = log det of I + k(x_i - x_j) on [0, R2]."""
     _check_kind(symbol)
     check_positive(R2, "R2")
-    return expsum_logdet(_kernel(symbol), _rule_on(R2, rule))
+    return expsum_logdet(_kernel(symbol, R2), _rule_on(R2, rule))
 
 
 def factor_product_logdet(beta, eps: float, R: float,
@@ -129,7 +139,8 @@ def factor_product_logdet(beta, eps: float, R: float,
     # composition term: g2(|x - y|) - A^T G A with A_qi = e^{-eta_q (R - x_i)},
     # g2(u) = sum_q' [sum_q G_qq'] e^{-eta_q' u}
     G = np.multiply.outer(W, W) / np.add.outer(eta, eta)
-    k = ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)).compress()
+    # the kernel at |x - y| <= R and the interpolation at R - x in [0, R]
+    k = ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)).compress(R)
     # A^T G A through the compressed exponents: e^{-eta u} ~ e^{-eta_J u} interp;
     # A is anchored at x = R, so the Hankel term reads the mirrored nodes R - x
     M = k.interp @ G @ k.interp.T

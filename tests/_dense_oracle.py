@@ -46,7 +46,7 @@ from whdet.symbols import fourier_coeff_u, fourier_coeff_v
 def raw_cut_kernel(symbol) -> ExpSum:
     """``cut_kernel`` before compression: every term of ``cut_rule``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpSum, "compress", lambda self: self)
+        mp.setattr(ExpSum, "compress", lambda self, window=None: self)
         return cut_kernel(symbol)
 
 

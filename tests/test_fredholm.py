@@ -120,6 +120,17 @@ class TestKernelEval:
         with pytest.raises(DomainError):
             kernel_eval(spec, 0.1, 0.5)
 
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_node_at_or_below_the_interval_rejected(self, family):
+        # the interval's lower end lo >= 0 bounds x + y away from 0 too
+        spec = KernelSpec(family, beta=0.3, n=1, R=1.0, eps=0.1)
+        lo, hi = spec.interval
+        inside = lo + 0.5 * (min(hi, lo + 1.0) - lo)
+        for node in (lo, lo - 0.05, -inside):
+            for x, y in ((node, inside), (inside, node), (node, node)):
+                with pytest.raises(DomainError):
+                    kernel_eval(spec, x, y)
+
     @pytest.mark.parametrize("x", [np.nan, np.inf])
     def test_non_finite_node_rejected(self, x):
         spec = KernelSpec(KernelFamily.HBETA, beta=0.3)

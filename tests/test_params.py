@@ -233,7 +233,8 @@ def test_strip_table(name, monkeypatch):
     call, edges, inside = STRIP_TABLE[name]
     call(inside)
     monkeypatch.setattr(wienerhopf, "expsum_logdet", _unreachable)
-    monkeypatch.setattr(expsum, "lu_logdet", _unreachable)
+    # expsum_logdet fetches its panel factorization (LAPACK getrf) here
+    monkeypatch.setattr(expsum, "get_lapack_funcs", _unreachable)
     monkeypatch.setattr(structured, "_gram_pivots", _unreachable)
     monkeypatch.setattr(expsum, "logdet", _unreachable)
     for bad in (float("nan"), complex(0.3, float("nan")), *edges):

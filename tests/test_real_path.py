@@ -38,7 +38,7 @@ from whdet import (
     wh_rule,
 )
 from whdet import expsum, fredholm, structured
-from whdet.logdet import logdet, lu_logdet
+from whdet.logdet import logdet
 from whdet.params import EXCLUSION_TOL, _STRIPS
 
 #: how far into an unbounded strip (MATRIX: Re b > -1/2) betas are drawn
@@ -114,8 +114,22 @@ def _record_dtypes(mp, seen):
 
     for module in (fredholm, expsum):
         mp.setattr(module, "logdet", recorder(logdet))
-    # the Wiener-Hopf routes factor one panel at a time
-    mp.setattr(expsum, "lu_logdet", recorder(lu_logdet))
+    # the Wiener-Hopf routes factor one panel at a time, by the LAPACK getrf
+    # that expsum_logdet fetches for its state's dtype
+    get_lapack_funcs = expsum.get_lapack_funcs
+
+    def recording_getrf(getrf):
+        def recording(a, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return getrf(a, **kwargs)
+        return recording
+
+    def recording_lapack(names, arrays):
+        funcs = get_lapack_funcs(names, arrays)
+        return tuple(recording_getrf(fn) if name == "getrf" else fn
+                     for name, fn in zip(names, funcs))
+
+    mp.setattr(expsum, "get_lapack_funcs", recording_lapack)
     # d_n factors no matrix: its moments and its sigma pivots (the sigma
     # rows take the moments' dtype)
     gram_pivots = structured._gram_pivots

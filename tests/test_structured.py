@@ -1,6 +1,7 @@
 """Toeplitz/Hankel matrices, log-determinants, and the exact Barnes-G
 closed forms for the determinant family."""
 
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -94,6 +95,14 @@ class TestMatrixBuilders:
             getattr(structured, builder)(lambda k: fourier_coeff_v(beta, k), n)
 
 
+#: the module, which ``whdet.logdet`` (the function) hides
+LOGDET = importlib.import_module("whdet.logdet")
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("an allocation over the dense cap was reached")
+
+
 class TestLogDet:
     def test_identity(self):
         ld = logdet(np.eye(5))
@@ -115,6 +124,18 @@ class TestLogDet:
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             logdet(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("beta", [0.3, 0.3 + 0.1j])
+    def test_lu_copy_counts_against_the_cap(self, beta, monkeypatch):
+        # a cap between one and two matrices of order n: the builder's one
+        # copy passes it, and the LU's copy of that matrix does not
+        n = 64
+        itemsize = np.result_type(beta).itemsize
+        monkeypatch.setattr(LOGDET, "_MAX_DENSE_BYTES", 3 * n * n * itemsize // 2)
+        matrix = structured.toeplitz(lambda k: fourier_coeff_v(beta, k), n)
+        monkeypatch.setattr(LOGDET, "lu_factor", _unreachable)
+        with pytest.raises(DomainError, match=f"logdet of order {n} "):
+            logdet(matrix)
 
     def test_logdet_addition(self):
         a = LogDet(1.0, 0.5)

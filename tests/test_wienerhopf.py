@@ -15,6 +15,7 @@ from whdet import (
     DomainError,
     LineKind,
     LineSymbol,
+    LogDet,
     TruncatedWH,
     akhiezer_kac_E,
     det_w2r,
@@ -78,6 +79,30 @@ class TestDetWrPmHr:
         t = TruncatedWH(LineSymbol(LineKind.UHAT_EPS, beta=0.2, eps=0.05), 4.0, sign=-1)
         ld = det_wr_pm_hr(t)
         assert np.isfinite(ld.ln_abs)
+
+    # log det at R below the compression grid's first point 1e-2/eta_max,
+    # where the window [0, 2R] lies under the whole-line grid: the values of
+    # the whole-line kernel (compress with no window), to be reproduced
+    TINY_R = {
+        (LineKind.VHAT_EPS, 0.3, 1e-4, 1e-3, +1): (-0.00043907776830868963, 0.0),
+        (LineKind.VHAT_EPS, 0.3, 1e-4, 1e-3, -1): (-1.4992197035268602e-07, 0.0),
+        (LineKind.VHAT_EPS, 0.3, 1e-4, 4e-3, +1): (-0.001755669198070649, 0.0),
+        (LineKind.VHAT_EPS, 0.3, 1e-4, 4e-3, -1): (-2.3950138478799943e-06, 0.0),
+        (LineKind.UHAT_EPS, -0.3 + 0.2j, 1e-2, 1e-3, +1):
+            (0.0001593764396763831, 0.00010182736238139276),
+        (LineKind.UHAT_EPS, -0.3 + 0.2j, 1e-2, 1e-3, -1):
+            (-0.0002969036164749653, 0.0001979932494501916),
+        (LineKind.UHAT_EPS, -0.3 + 0.2j, 1e-2, 4e-3, +1):
+            (0.000636552013485026, 0.0004064987598212482),
+        (LineKind.UHAT_EPS, -0.3 + 0.2j, 1e-2, 4e-3, -1):
+            (-0.0011864588249110028, 0.0007918913044306036),
+    }
+
+    @pytest.mark.parametrize("key", sorted(TINY_R, key=repr), ids=repr)
+    def test_tiny_truncation(self, key):
+        kind, b, eps, R, sign = key
+        got = det_wr_pm_hr(TruncatedWH(LineSymbol(kind, beta=b, eps=eps), R, sign=sign))
+        assert rel_exp_diff(got, LogDet(*self.TINY_R[key])) <= 1e-14
 
     def test_real_symbol_gives_real_logdet(self):
         for sym in (vhat(0.3, 1e-2), LineSymbol(LineKind.PHI, beta=-0.25)):
