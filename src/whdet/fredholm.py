@@ -138,8 +138,9 @@ def nystrom(spec: KernelSpec, rule: Optional[QuadRule] = None) -> NystromOp:
 def fredholm_logdet(op: NystromOp, sign: int) -> LogDet:
     """log det(I +- K) of a discretized operator."""
     check_sign(sign)
-    m = op.matrix
-    return logdet(np.eye(m.shape[0], dtype=m.dtype) + sign * m)
+    a = sign * op.matrix
+    a.flat[::a.shape[0] + 1] += 1.0  # I +- K without an identity or a second sum
+    return logdet(a)
 
 
 def quotient_identity(A: np.ndarray, p: int) -> Tuple[LogDet, LogDet]:

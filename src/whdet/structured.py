@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceWarning, DomainError, SingularMatrix
 from .expsum import hankel_logdet
@@ -31,20 +31,31 @@ from .symbols import CircleKind, CircleSymbol, fourier_coeff_v, jump_coeff_sum
 
 def toeplitz(coeffs, n: int) -> np.ndarray:
     """T_n, entry (j,k) = a_{j-k}, from one call of the coefficient accessor
-    on the index array -(n-1) .. n-1."""
+    on the index array -(n-1) .. n-1.
+
+    T_n is a read-only strided view of those 2n - 1 coefficients: no n x n
+    array is made.  The order is still capped as for one dense copy, the
+    one a caller makes by computing with it (``I + T_n``, a factorization).
+    """
     n = check_order(n)
     c = np.asarray(coeffs(np.arange(-(n - 1), n)))
     check_dense("toeplitz", n, c.itemsize, 1)
-    return scipy.linalg.toeplitz(c[n - 1:], c[n - 1::-1])
+    step = c.strides[0]
+    return as_strided(c[n - 1:], (n, n), (step, -step), writeable=False)
 
 
 def hankel(coeffs, n: int) -> np.ndarray:
     """H_n, entry (j,k) = a_{j+k+1}, from one call of the coefficient
-    accessor on the index array 1 .. 2n-1."""
+    accessor on the index array 1 .. 2n-1.
+
+    H_n is a read-only strided view of those 2n - 1 coefficients, capped
+    in order like ``toeplitz``.
+    """
     n = check_order(n)
     c = np.asarray(coeffs(np.arange(1, 2 * n)))
     check_dense("hankel", n, c.itemsize, 1)
-    return scipy.linalg.hankel(c[:n], c[n - 1:])
+    step = c.strides[0]
+    return as_strided(c, (n, n), (step, step), writeable=False)
 
 
 def _gram_pivots(m: np.ndarray, sign: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import whdet.fredholm
 from whdet import (
     DomainError,
     KernelFamily,
@@ -239,6 +240,21 @@ class TestDenseCap:
 
 
 class TestFredholmLogdet:
+    @pytest.mark.parametrize("beta", [0.3, 0.3 + 0.2j])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matrix_is_identity_plus_operator(self, beta, sign, monkeypatch):
+        # I +- K formed in place equals np.eye(N) +- K bit for bit
+        op = nystrom(KernelSpec(KernelFamily.KEPS_N, beta=beta, n=2, eps=1e-2))
+        m = op.matrix
+        kept = m.copy()
+        want = np.eye(m.shape[0], dtype=m.dtype) + sign * m
+        seen = []
+        monkeypatch.setattr(whdet.fredholm, "logdet", lambda a: seen.append(a.copy()) or logdet(a))
+        got = fredholm_logdet(op, sign)
+        assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+        assert got == logdet(want)
+        assert m.tobytes() == kept.tobytes()
+
     def test_zero_operator(self):
         rule = gauss_rule(8, (0.0, 1.0))
         op = NystromOp(rule, np.zeros((8, 8)))

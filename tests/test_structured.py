@@ -38,7 +38,7 @@ from whdet.logdet import _MAX_DENSE_BYTES, check_dense
 from whdet.params import is_near_nonpositive_integer
 
 from _barnes_oracle import mp_d_n
-from _dense_oracle import dense_d_n
+from _dense_oracle import dense_d_n, dense_hankel, reg_coeffs
 
 
 def cofactor_det(a):
@@ -90,9 +90,46 @@ class TestMatrixBuilders:
         def unreachable(*args, **kwargs):
             raise AssertionError("an allocation over the dense cap was reached")
 
-        monkeypatch.setattr(scipy.linalg, builder, unreachable)
+        monkeypatch.setattr(structured, "as_strided", unreachable)
         with pytest.raises(DomainError, match=f"{builder} of order {n} "):
             getattr(structured, builder)(lambda k: fourier_coeff_v(beta, k), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("imag", [0.0, 0.5])
+    def test_views_match_scipy_bit_for_bit(self, n, imag):
+        def coeffs(k):  # a different value at every index
+            return np.cos(0.7 * k) + 0.1 * k + imag * 1j * np.sin(k)
+
+        c = coeffs(np.arange(-(n - 1), n))
+        want = scipy.linalg.toeplitz(c[n - 1:], c[n - 1::-1])
+        got = toeplitz(coeffs, n)
+        assert got.dtype == want.dtype and got.shape == (n, n)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        c = coeffs(np.arange(1, 2 * n))
+        want = scipy.linalg.hankel(c[:n], c[n - 1:])
+        got = hankel(coeffs, n)
+        assert got.dtype == want.dtype and got.shape == (n, n)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("builder", [toeplitz, hankel])
+    def test_views_are_read_only(self, builder):
+        m = builder(lambda k: fourier_coeff_v(0.3, k), 4)
+        with pytest.raises(ValueError):
+            m[1, 2] = 0.0
+        with pytest.raises(ValueError):
+            m += 1.0
+
+    @pytest.mark.parametrize("builder", [toeplitz, hankel])
+    def test_no_square_array(self, builder):
+        n = 2000
+        tracemalloc.start()
+        try:
+            m = builder(lambda k: fourier_coeff_v(0.3, k), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (n, n)
+        assert peak < 1024 * n  # one n x n float64 array takes 8n bytes per order
 
 
 #: the module, which ``whdet.logdet`` (the function) hides
@@ -101,6 +138,86 @@ LOGDET = importlib.import_module("whdet.logdet")
 
 def _unreachable(*args, **kwargs):
     raise AssertionError("an allocation over the dense cap was reached")
+
+
+def mp_logdet(a) -> LogDet:
+    """log det a of the double matrix a, at 40 digits."""
+    with mp.workdps(40):
+        return LogDet.from_log(complex(mp.log(mp.det(mp.matrix(a.tolist())))))
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _symmetric(q, eigs):
+    a = (q * eigs) @ q.T
+    return 0.5 * (a + a.T)  # exactly symmetric
+
+
+def _hermitian_pd(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = np.eye(n) + 0.1 * (g @ g.conj().T) / n
+    return 0.5 * (a + a.conj().T)  # exactly Hermitian, real diagonal
+
+
+def _complex_symmetric(rng, n):
+    s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.eye(n) + 0.05 * (s + s.T)
+
+
+#: order of the dispatch matrices
+DISPATCH_ORDER = 32
+#: case -> (matrix from (rng, n), factorizations tried, bound on rel_exp_diff
+#: against 40 digits): the route each matrix takes through logdet, with 4e-15
+#: (about 20 ulps) where the condition number is O(1) and 1e-11 at 1e4
+DISPATCH = {
+    "spd_near_identity": (
+        lambda rng, n: _symmetric(_orthogonal(rng, n), np.linspace(1.0, 1.5, n)),
+        [("cholesky", True)], 4e-15),
+    "spd_ill_conditioned": (
+        lambda rng, n: _symmetric(_orthogonal(rng, n), np.geomspace(1.0, 1e-4, n)),
+        [("cholesky", False), ("lu", True)], 1e-11),
+    "symmetric_indefinite": (
+        lambda rng, n: _symmetric(_orthogonal(rng, n), np.linspace(1.0, 2.0, n) * (-1) ** np.arange(n)),
+        [("cholesky", False), ("lu", True)], 4e-15),
+    "hermitian_pd": (_hermitian_pd, [("cholesky", True)], 4e-15),
+    "complex_symmetric": (_complex_symmetric, [("lu", True)], 4e-15),
+    "nonsymmetric": (
+        lambda rng, n: np.eye(n) + 0.1 * rng.standard_normal((n, n)) / math.sqrt(n),
+        [("lu", True)], 4e-15),
+}
+
+
+def _layouts(a):
+    """a in C order, in F order, transposed (det a^T = det a) and as a
+    read-only view with strides in both axes."""
+    big = np.zeros((2 * len(a), 2 * len(a)), dtype=a.dtype)
+    strided = big[::2, 1::2]
+    strided[:] = a
+    strided.flags.writeable = False
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "transposed": np.ascontiguousarray(a).T, "strided": strided}
+
+
+def _record_route(monkeypatch):
+    """Record each factorization logdet tries: ("cholesky", accepted) or
+    ("lu", True), with whether LAPACK was handed a column-major array."""
+    seen = []
+    cholesky, lu = LOGDET._cholesky_pivots, LOGDET.lu_factor
+
+    def cholesky_spy(a):
+        pivots = cholesky(a)
+        seen.append((("cholesky", pivots is not None), a.flags.f_contiguous))
+        return pivots
+
+    def lu_spy(a, **kwargs):
+        seen.append((("lu", True), a.flags.f_contiguous))
+        return lu(a, **kwargs)
+
+    monkeypatch.setattr(LOGDET, "_cholesky_pivots", cholesky_spy)
+    monkeypatch.setattr(LOGDET, "lu_factor", lu_spy)
+    return seen
 
 
 class TestLogDet:
@@ -136,6 +253,60 @@ class TestLogDet:
         monkeypatch.setattr(LOGDET, "lu_factor", _unreachable)
         with pytest.raises(DomainError, match=f"logdet of order {n} "):
             logdet(matrix)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2), ()])
+    def test_not_square(self, shape):
+        with pytest.raises(DomainError, match="square"):
+            logdet(np.ones(shape))
+
+    @pytest.mark.parametrize("case", sorted(DISPATCH))
+    def test_dispatch(self, case, monkeypatch):
+        build, route, tol = DISPATCH[case]
+        a = build(np.random.default_rng(5), DISPATCH_ORDER)
+        want = mp_logdet(a)
+        for layout, m in _layouts(a).items():
+            kept = m.copy()
+            seen = _record_route(monkeypatch)
+            got = logdet(m)
+            # LU adds pi per row swap and negative pivot to the argument:
+            # a multiple of pi rounded to an ulp of its size
+            bound = tol + 2 * math.ulp(abs(got.arg))
+            assert rel_exp_diff(got, want) <= bound, (layout, rel_exp_diff(got, want))
+            assert [step for step, _ in seen] == route, layout
+            # LAPACK reads a contiguous input in place of gathering it
+            assert all(f_order == (layout != "strided") for _, f_order in seen), layout
+            assert m.tobytes() == kept.tobytes(), layout
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("m", [np.ones((4, 4)), np.zeros((3, 3)),
+                                   np.diag([2.0, 0.0, 1.0]) + 0j])
+    def test_singular_psd(self, m):
+        # potrf fails, and LU meets an exactly zero pivot
+        kept = m.copy()
+        with pytest.raises(SingularMatrix):
+            logdet(m)
+        assert m.tobytes() == kept.tobytes()
+
+    def test_cholesky_no_less_accurate_than_lu(self):
+        # Hankel sections I +- H of u_{b,r}: on those the Cholesky route
+        # accepts, its error against 40 digits is no larger than LU's, at
+        # the median and at the maximum
+        err_cholesky, err_lu = [], []
+        for b in (-0.7, -0.3, 0.2, 0.45, 0.8, 1.3, 2.1):
+            for r in (0.5, 0.8, 0.95, 0.99):
+                for sign in (+1, -1):
+                    for start, stop in ((0, 8), (1, 16), (3, 24)):
+                        a = dense_hankel(sign * reg_coeffs(b, r, 2 * stop), start, stop)
+                        if LOGDET._cholesky_pivots(a) is None:
+                            continue
+                        want = mp_logdet(a)
+                        lu, piv = scipy.linalg.lu_factor(a)
+                        by_lu = LOGDET.pivot_logdet(np.diag(lu), int(np.sum(piv != np.arange(len(a)))))
+                        err_cholesky.append(rel_exp_diff(logdet(a), want))
+                        err_lu.append(rel_exp_diff(by_lu, want))
+        assert len(err_cholesky) >= 100
+        assert np.median(err_cholesky) <= np.median(err_lu)
+        assert max(err_cholesky) <= max(err_lu)
 
     def test_logdet_addition(self):
         a = LogDet(1.0, 0.5)
