@@ -30,11 +30,18 @@ exponentials: the block LU of a quasiseparable matrix (Gohberg, Kailath &
 Koltracht, "Linear complexity algorithms for semiseparable matrices",
 IEOT 8, 1985), one panel of PANEL nodes at a time, on an r x r state.
 The Hankel term is the recursion's starting state, its left boundary
-condition, not extra generators.  Every factor it forms is an e^{-eta d}
-with d >= 0, so no truncation length can overflow it.  At a few dozen
-terms the panels are small enough that call overhead, not arithmetic,
-sets the pace, so each step calls LAPACK directly and the determinant is
-read once, from all the pivots.
+condition, not extra generators.  Every factor it carries from panel to
+panel is an e^{-eta d} with d >= 0, so no truncation length can overflow
+it.  Inside a panel the block k(x_i - x_j) is the product of the
+exponentials e^{-eta (x_i - c)} and e^{eta (x_j - c)} about the node c
+just before the panel (its first node, for the first panel) wherever
+eta_max times the panel's reach from c is at most NODE_FACTOR_REACH: the
+growing factor is then at most e^4, and the rounding of its argument
+within a few ulp of the pairwise e^{-eta (x_i - x_j)}'s.  Wider panels
+take their blocks from factors e^{-eta d} with d >= 0 alone
+(``ExpSum.block``).  At a few dozen terms the panels are small enough
+that call overhead, not arithmetic, sets the pace, so each step makes one
+LAPACK call and the determinant is read once, from all the pivots.
 """
 
 from __future__ import annotations
@@ -60,10 +67,17 @@ SAMPLES_PER_DECADE = 20
 #: 4e-15 with this margin (cut kernels over the strip, windows 2 to 300)
 WINDOW_MARGIN = 1.5
 #: sorted nodes per step of expsum_logdet
-PANEL = 16
-#: panels whose in-panel blocks expsum_logdet forms from one exp; all panels
-#: at once would hold N (PANEL - 1)/2 exponentials per term
+PANEL = 32
+#: panels whose in-panel blocks expsum_logdet forms by ExpSum.block at once;
+#: all panels at once would hold N (BLOCK_LEAF - 1)/2 exponentials per term
 BATCH = 8
+#: most nodes ExpSum.block forms pairwise before it splits them in two
+BLOCK_LEAF = 8
+#: largest eta_max (e_I - e_{I-1}) at which expsum_logdet forms the block of
+#: panel I from per-node exponentials about c = e_{I-1}: each factor's
+#: argument is then at most 4, so rounding it moves the factor by at most
+#: about 4 ulp, as rounding the pairwise e^{-eta (x_i - x_j)} may
+NODE_FACTOR_REACH = 4.0
 
 
 @dataclass(frozen=True)
@@ -101,11 +115,35 @@ class ExpSum:
         return np.where(x > 0, pos, np.where(x < 0, neg, 0.5 * (pos + neg)))
 
     def block(self, x):
-        """The matrix k(x_i - x_j) for increasing x, from the exponentials
-        of its strictly lower triangle alone; for x of shape (..., n), one
-        such matrix per row, all from one exp."""
+        """The matrix k(x_i - x_j) for increasing x; for x of shape (..., n),
+        one such matrix per row.
+
+        Up to BLOCK_LEAF nodes it is formed from one exponential per node
+        pair below the diagonal.  More nodes are split after the middle
+        node m: each half recurses, and the block between them is the
+        rank-r product of e^{-eta (x_i - m)} and e^{-eta (m - x_j)}.  Both
+        factors have d >= 0 and their arguments add up to the pair's
+        eta (x_i - x_j), so the product is as accurate as the pairwise
+        exponential at any eta."""
         x = np.asarray(x)
         n = x.shape[-1]
+        if n > BLOCK_LEAF:
+            h = n // 2
+            out = np.empty(x.shape + (n,), dtype=np.result_type(self.w_pos, self.w_neg))
+            if n == 2 * h:
+                out[..., :h, :h], out[..., h:, h:] = self.block(np.stack([x[..., :h], x[..., h:]]))
+            else:
+                out[..., :h, :h] = self.block(x[..., :h])
+                out[..., h:, h:] = self.block(x[..., h:])
+            m = x[..., h - 1:h]
+            down = np.multiply.outer(x[..., h:] - m, -self.eta)
+            up = np.multiply.outer(m - x[..., :h], -self.eta)
+            np.exp(down, out=down)
+            up = np.exp(up, out=up).swapaxes(-1, -2)
+            out[..., h:, :h] = (down * self.w_pos) @ up
+            other = out[..., h:, :h] if self.even else (down * self.w_neg) @ up
+            out[..., :h, h:] = other.swapaxes(-1, -2)
+            return out
         i, j = _lower(n)
         e = np.multiply.outer(x[..., i] - x[..., j], -self.eta)
         np.exp(e, out=e)
@@ -126,10 +164,10 @@ class ExpSum:
         None fits it wherever any term is above e^{-40}.
 
         The refit weights are interp @ w.  In exact arithmetic that is the
-        least-squares solution R11^{-1} Q1^T E w; formed from the samples
-        E w, it would carry their rounding amplified by R11's smallest
-        pivots, near COMPRESS_TOL."""
-        def fit(u, E, interp, Q1, R11):
+        least-squares solution from the kept columns; formed from the
+        samples E w, it would carry their rounding amplified by the
+        columns' smallest pivots, near COMPRESS_TOL."""
+        def fit(u, E, keep, interp):
             even = self.even
             w_pos = _real_apart(interp, self.w_pos)
             w_neg = w_pos if even else _real_apart(interp, self.w_neg)
@@ -146,9 +184,10 @@ def _lower(n):
 def fit_even(eta: np.ndarray, f: Callable) -> ExpSum:
     """An even exponential sum for f(|u|), from the candidate exponents eta:
     the least-squares weights of the columns that compress would keep."""
-    def fit(u, E, interp, Q1, R11):
+    def fit(u, E, keep, interp):
         target = f(u)
-        w = solve_triangular(R11, Q1.T @ target)
+        Q, R = qr(E[:, keep], mode="economic")
+        w = solve_triangular(R, Q.T @ target)
         return w, w, target, target
     return _fit(eta, fit)
 
@@ -177,20 +216,19 @@ def _grid(eta: np.ndarray, window: Optional[float] = None) -> np.ndarray:
 
 
 def _fit(eta, fit, window: Optional[float] = None) -> ExpSum:
-    """Pivoted QR of E = e^{-u eta} on the sample grid u (``_grid``); ``fit``
-    gives the weights of the kept columns, and the samples they are
-    measured against, from u, E, the columns' interpolation matrix and
-    Q1, R11."""
+    """Pivoted QR of E = e^{-u eta} on the sample grid u (``_grid``), R
+    alone: Q is never formed.  ``fit`` gives the weights of the kept
+    columns, and the samples they are measured against, from u, E, the
+    kept columns' indices and their interpolation matrix."""
     u = _grid(eta, window)
     E = np.exp(-np.multiply.outer(u, eta))
-    Q, R, perm = qr(E, mode="economic", pivoting=True)
+    R, perm = qr(E, mode="r", pivoting=True)
     pivots = np.abs(np.diag(R))
     r = max(1, int(np.sum(pivots > COMPRESS_TOL * pivots[0])))
-    R11 = R[:r, :r]
     interp = np.empty((r, len(eta)))
-    interp[:, perm] = np.hstack([np.eye(r), solve_triangular(R11, R[:r, r:])])
+    interp[:, perm] = np.hstack([np.eye(r), solve_triangular(R[:r, :r], R[:r, r:])])
     keep = perm[:r]
-    w_pos, w_neg, pos, neg = fit(u, E, interp, Q[:, :r], R11)
+    w_pos, w_neg, pos, neg = fit(u, E, keep, interp)
     E1 = E[:, keep]
     scale = max(np.max(np.abs(pos)), np.max(np.abs(neg)))
     err = max(np.max(np.abs(E1 @ w_pos - pos)), np.max(np.abs(E1 @ w_neg - neg)))
@@ -214,10 +252,20 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     through the generators p, leaves -p f p^T behind, carried forward by
     the transitions; since p_i D = E_i for D = diag(e^{-eta x_0}), the state
     starts at f = -D M D, in place of zero, and the Hankel term needs no
-    generators of its own.  The in-panel blocks D_I are formed BATCH panels
-    at a time (``_panel_blocks``); each gamma_I is factored and solved by
-    LAPACK getrf/getrs directly, and the determinant is read once, from
-    every pivot and row interchange (``logdet.pivot_logdet``).
+    generators of its own.
+
+    Where eta_max (e_I - e_{I-1}) <= NODE_FACTOR_REACH, the in-panel block
+    below the diagonal is p_i g_j^T, with the generators p and
+    g_j = s_j w_pos e^{eta (x_j - e_{I-1})}, so gamma_I's lower triangle is
+    the one product p (g - p f)^T; above the diagonal it is the same with
+    w_neg and i, j swapped.  Every other panel takes D_I from
+    ``ExpSum.block``, BATCH panels at a time (``_pairwise_blocks``).  Each
+    step makes one LAPACK call, gesv, which factors gamma_I and solves
+    for gamma_I^{-1} (p f a - q) at once, and the determinant is read once,
+    from every pivot and row interchange (``logdet.pivot_logdet``).  An
+    explicit inverse (getri) in place of the solve made a whole pass 3-4%
+    faster, but at b = -0.9, eps = 1e-4 it took the doubling identity's
+    residual at R = 150 from 7e-13 to 1.5e-11.
     """
     order = np.argsort(rule.nodes, kind="stable")
     x = rule.nodes[order]
@@ -228,47 +276,95 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     refs = np.concatenate([x[:1], ends[:-1]])
     panel = np.arange(n) // PANEL
     eta = k.eta
-    p = s[:, None] * np.exp(-np.multiply.outer(x - refs[panel], eta))
-    q = s[:, None] * np.exp(-np.multiply.outer(ends[panel] - x, eta))
+    e = np.multiply.outer(refs[panel] - x, eta)
+    p = np.exp(e)
+    p *= s[:, None]
+    q = np.multiply.outer(x - ends[panel], eta)
+    np.exp(q, out=q)
+    q *= s[:, None]
     a = np.exp(-np.multiply.outer(ends - refs, eta))
-    h_pos, h_neg = q * k.w_pos, q * k.w_neg
+    aa = a[:, :, None] * a[:, None, :]
+    h_pos = q * k.w_pos
+    h_neg = h_pos if k.even else q * k.w_neg
     M = np.zeros((k.terms, k.terms)) if M is None else M
     symmetric = k.even and np.array_equal(M, M.T)
     d = np.exp(-eta * x[0])
     f = -(d[:, None] * M * d).astype(np.result_type(p, h_pos, h_neg, M))
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (f,))
-    # the last panel may be short: pad it to PANEL nodes of zero weight
+    (gesv,) = get_lapack_funcs(("gesv",), (f,))
+    # near panels: s_i s_j k(x_i - x_j) = p_i g_j^T below the diagonal; g is
+    # not read on the others
+    near = np.max(eta) * (ends - refs) <= NODE_FACTOR_REACH
+    g_pos = g_neg = h_pos
+    if np.any(near):
+        up = np.exp(-e, where=near[panel][:, None], out=np.zeros_like(e))
+        up *= s[:, None]
+        g_pos = up * k.w_pos
+        g_neg = g_pos if k.even else up * k.w_neg
+    one = 1.0 + 0.5 * (np.sum(k.w_pos) + np.sum(k.w_neg)) * s * s
+    # far panels, the last one padded to PANEL nodes of zero weight
     pad = len(starts) * PANEL - n
     xs = np.concatenate([x, np.full(pad, x[-1])]).reshape(-1, PANEL)
     ss = np.concatenate([s, np.zeros(pad)]).reshape(-1, PANEL)
+    far = _pairwise_blocks(k, xs[~near], ss[~near])
     diag = np.empty(n, dtype=f.dtype)
     piv = np.empty(n, dtype=np.int32)
-    for first in range(0, len(starts), BATCH):
-        blocks = _panel_blocks(k, xs[first:first + BATCH], ss[first:first + BATCH])
-        for i, block in enumerate(blocks, first):
-            sl = slice(starts[i], starts[i] + PANEL)
-            pi, ai = p[sl], a[i]
-            m = len(pi)
-            fp = f @ pi.T
-            lu, piv[sl], _ = getrf(block[:m, :m] - pi @ fp, overwrite_a=True)
-            diag[sl] = lu.diagonal()
-            left = ai[:, None] * fp - h_pos[sl].T
-            right = left.T if symmetric else (pi @ f) * ai - h_neg[sl]
-            f *= ai[:, None]
-            f *= ai
-            f += left @ getrs(lu, piv[sl], right)[0]
-    # getrf's pivots count from 0 within each panel
+    for i, start in enumerate(starts):
+        sl = slice(start, start + PANEL)
+        pi = p[sl]
+        m = len(pi)
+        u = pi @ f
+        if not near[i]:
+            gamma = next(far)[:m, :m] - u @ pi.T
+        elif symmetric:
+            gamma = pi @ (g_pos[sl] - u).T
+            gamma += _identity(m)
+            gamma = np.where(_on_or_below(m), gamma, gamma.T)
+        else:
+            gamma = np.where(_on_or_below(m), pi @ g_pos[sl].T, (pi @ g_neg[sl].T).T)
+            _diagonal(gamma)[:] = one[sl]
+            gamma -= u @ pi.T
+        right = u * a[i] - h_neg[sl]
+        left = right.T if symmetric else a[i][:, None] * (f @ pi.T) - h_pos[sl].T
+        lu, piv[sl], solved, _ = gesv(gamma, right, overwrite_a=True)
+        diag[sl] = lu.diagonal()
+        f *= aa[i]
+        f += left @ solved
+    # gesv's pivots count from 0 within each panel
     return pivot_logdet(diag, int(np.count_nonzero(piv != np.arange(n) % PANEL)))
 
 
-def _panel_blocks(k: ExpSum, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """I + S k(x_i - x_j) S for each row of the panels x (panels x nodes,
-    increasing along each row), with S = diag of the same row of s."""
-    out = k.block(x)
-    out *= s[..., :, None] * s[..., None, :]
-    i = np.arange(x.shape[-1])
-    out[..., i, i] += 1.0
-    return out
+def _pairwise_blocks(k: ExpSum, x: np.ndarray, s: np.ndarray):
+    """Yield I + S k(x_i - x_j) S for each row of the panels x (panels x
+    nodes, increasing along each row), with S = diag of the same row of s;
+    ``ExpSum.block`` forms them BATCH panels at a time."""
+    for first in range(0, len(x), BATCH):
+        out = k.block(x[first:first + BATCH])
+        out *= s[first:first + BATCH, :, None] * s[first:first + BATCH, None, :]
+        _diagonal(out)[:] += 1.0
+        yield from out
+
+
+@functools.cache
+def _on_or_below(n):
+    """The n x n mask of i >= j; read-only, as every caller shares it."""
+    mask = np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+@functools.cache
+def _identity(n):
+    """The n x n identity; read-only, as every caller shares it."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonals of the C-ordered stack of square
+    matrices a."""
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., ::n + 1]
 
 
 @dataclass(frozen=True)

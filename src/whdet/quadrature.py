@@ -10,6 +10,7 @@ integrand, and the unresolved stub next to the endpoint shrinks like
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -53,8 +54,18 @@ def gauss_rule(m: int, ends: Sequence[float]) -> QuadRule:
             or not (np.all(steps > 0) or np.all(steps < 0)):
         raise DomainError(f"panel ends must be at least two finite, strictly monotone"
                           f" values, got {ends!r}")
-    xg, wg = leggauss(m)
+    xg, wg = _legendre(m)
     half = 0.5 * np.abs(steps)
     nodes = half[:, None] * xg + 0.5 * (ends[:-1] + ends[1:])[:, None]
     return QuadRule(np.ravel(nodes), np.ravel(half[:, None] * wg),
                     (float(ends.min()), float(ends.max())))
+
+
+@functools.cache
+def _legendre(m: int):
+    """The m Gauss-Legendre nodes and weights on [-1, 1], computed once per m;
+    every caller shares them, so they are read-only."""
+    xg, wg = leggauss(m)
+    for a in (xg, wg):
+        a.setflags(write=False)
+    return xg, wg

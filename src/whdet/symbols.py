@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import legvander
 from scipy.special import loggamma, roots_jacobi
 
 from .errors import DomainError, SingularPointError
-from .expsum import CoeffSum, ExpSum, fit_even
+from .expsum import WINDOW_MARGIN, CoeffSum, ExpSum, fit_even
 from .params import (BetaContext, check_beta, check_eps, check_index, check_order,
                      is_near_nonpositive_integer, working_beta)
 from .quadrature import gauss_rule
@@ -285,26 +285,42 @@ def _compress_bands(eta, w) -> ExpSum:
 # Line kernels: k(x) = (1/2pi) int (s(xi) - 1) e^{-i xi x} d xi
 # ---------------------------------------------------------------------------
 
-def cut_rule(eps: float, b) -> tuple[np.ndarray, np.ndarray]:
+def cut_rule(eps: float, b, reach: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes eta and weights W with sum_q W_q f(eta_q) ~ int_eps^1 f(eta)
     (eta - eps)^b (1 - eta)^{-b} d eta for smooth f, -1 < Re b < 1.
 
-    Gauss-Legendre panels graded geometrically toward both ends (more
-    levels toward eps the smaller it is), and at each end a stub [0, delta]
-    in the distance d to that end, taken by product integration: the
-    Gauss-Jacobi nodes of the weight d^{Re e} (e = b toward eps, -b toward
-    1) and the weights that integrate d^e p(d) exactly for every p of
-    degree < 12, from the closed-form moments of d^e against Legendre
-    polynomials.  So the singularity, its phase d^{i Im e} included, is
+    Gauss-Legendre panels graded geometrically toward both ends, and at
+    each end a stub [0, delta] in the distance d to that end, taken by
+    product integration: the Gauss-Jacobi nodes of the weight d^{Re e}
+    (e = b toward eps, -b toward 1) and the weights that integrate
+    d^e p(d) exactly for every p of degree < 12, from the closed-form
+    moments of d^e against Legendre polynomials.  So the singularity, its phase d^{i Im e} included, is
     integrated exactly however near |Re b| is to 1; for a real b these
     are the Gauss-Jacobi weights.  Distances to the ends are formed
     directly, never as 1 - eta.
+
+    Each level halves the distance to its end.  For f(eta) = e^{-eta u} on
+    the whole line, 24 levels go toward 1 and
+    max(40, ceil(log2(1/eps)) + 28) toward eps (792 nodes at eps = 1e-4).
+    Given the ``reach`` of u, f varies on the scale 1/reach alone, so
+    toward 1 max(2, ceil(log2 reach) + 6) levels suffice, and toward eps
+    ceil(max(log2(1/eps), log2 reach)) + 6: the weight of a vhat kernel
+    has a second branch point at eta = -eps, so the eps side resolves
+    eps itself too.  Each is capped at the whole line's count.  At
+    eps = 1e-4 that is 348 to 420 nodes for reaches 6 to 450, and the
+    sum stays within 2.5e-15 of max |k| of the whole-line rule's on
+    |u| <= reach (cut kernels at |b| <= 0.9, complex b included, eps 1e-6
+    to 1e-2, reaches 4.5e-3 to 900).
     """
     length = 1.0 - eps
     eps_levels = max(40, int(np.ceil(-np.log2(max(eps, 1e-14)))) + 28)
+    one_levels = 24
+    if reach is not None:
+        eps_levels = min(eps_levels, math.ceil(max(-math.log2(eps), math.log2(reach))) + 6)
+        one_levels = min(one_levels, max(2, math.ceil(math.log2(reach)) + 6))
     etas, weights = [], []
     # each end: its levels, the exponent of d there, the end and the direction inward
-    for levels, expo, end, inward in ((eps_levels, b, eps, 1.0), (24, -b, 1.0, -1.0)):
+    for levels, expo, end, inward in ((eps_levels, b, eps, 1.0), (one_levels, -b, 1.0, -1.0)):
         d, w = _graded(length * 0.5 * 2.0 ** -np.arange(levels), expo)
         etas.append(end + inward * d)
         weights.append(w * _pow(length - d, -expo))   # the other end's factor
@@ -354,24 +370,29 @@ def cut_kernel(s: LineSymbol, window: Optional[float] = None) -> ExpSum:
     Deforming the Fourier integral onto the branch cut [i eps, i] gives
     k(w) = int_eps^1 W(eta) e^{-eta |w|} d eta, with the algebraic weight
     W of the symbol's jump across the cut; it is integrable on the strip
-    -1 < Re beta < 1.  ``cut_rule`` discretizes it (about 800 terms) and
-    ``ExpSum.compress`` keeps the few dozen that matter (74 at eps = 1e-4),
-    or, given a ``window``, those that matter on |w| <= window alone (19 to
-    28 at eps = 1e-4 on the windows 2R of R = 10 to 40).  For the jump
-    symbol the weights for w > 0 and w < 0 have opposite exponents, so the
-    two rules are concatenated.  Every base of a power is positive, so a
-    real beta gives real weights.
+    -1 < Re beta < 1.  ``cut_rule`` discretizes it (792 terms at
+    eps = 1e-4) and ``ExpSum.compress`` keeps the few dozen that matter (74
+    at eps = 1e-4).  Given a ``window``, the kernel is read on
+    |w| <= window alone: ``cut_rule`` takes the reach the compression
+    samples, WINDOW_MARGIN * window, and grades only as finely as that
+    reach needs (396 terms at eps = 1e-4 on the window 80), and the
+    compression keeps fewer (19 to 28 at eps = 1e-4 on the windows 2R of
+    R = 10 to 40).  For
+    the jump symbol the weights for w > 0 and w < 0 have opposite
+    exponents, so the two rules are concatenated.  Every base of a power
+    is positive, so a real beta gives real weights.
     """
     if s.kind not in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
         raise DomainError(f"no branch-cut kernel for symbol kind {s.kind}")
     b = working_beta(check_beta(s.beta, BetaContext.KERNEL_FAMILY))
     eps = s.eps
     pref = -sin_pi(b) / np.pi
-    eta, W = cut_rule(eps, b)
+    reach = None if window is None else WINDOW_MARGIN * window
+    eta, W = cut_rule(eps, b, reach)
     if s.kind is LineKind.VHAT_EPS:
         w = pref * W * _pow((eta + eps) / (1.0 + eta), b)
         return ExpSum(eta, w, w).compress(window)
-    eta_neg, W_neg = cut_rule(eps, -b)
+    eta_neg, W_neg = cut_rule(eps, -b, reach)
     zeros = np.zeros(len(eta), dtype=np.result_type(pref, W))
     return ExpSum(
         np.concatenate([eta, eta_neg]),

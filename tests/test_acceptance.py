@@ -37,6 +37,7 @@ from whdet import (
     fourier_coeff_v,
     fredholm_det_hankel_reg,
     fredholm_logdet,
+    hankel,
     ln_akhiezer_kac_E,
     ln_barnes_g,
     ln_det_hankel_reg_exact,
@@ -120,8 +121,7 @@ def test_criterion_04_kernel_family_equality():
                 coeff_cache[key] = reg_coeff_table(sym, 2 * M + 20)[2 * M + 20:].real
             co = coeff_cache[key]
             for n in (2, 4, 8):
-                j, k = np.indices((M, M))
-                H = co[j + k + 2 * n + 1]
+                H = hankel(lambda k: co[k + 2 * n], M)  # co[j + k + 2n + 1]
                 spec = KernelSpec(KernelFamily.KEPS_N, beta=b, n=n, eps=eps)
                 op = nystrom(spec)
                 for sign in (+1, -1):

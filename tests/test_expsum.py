@@ -20,6 +20,7 @@ from whdet import (
     SingularMatrix,
     TruncatedWH,
     cut_kernel,
+    cut_rule,
     det_w2r,
     det_wr_pm_hr,
     expsum_logdet,
@@ -93,9 +94,10 @@ class TestCompression:
     @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
     def test_windowed_cut_kernel_on_its_window(self, kind, eps):
-        # the kernel compressed on |u| <= w, against every term of cut_rule
-        # there (and on [-w, 0] for the odd kernel); at w = 80 it keeps 28
-        # terms at eps = 1e-4, against 74 on the whole line
+        # the kernel compressed on |u| <= w, against every term of the
+        # whole-line cut_rule there (and on [-w, 0] for the odd kernel); at
+        # w = 80 it keeps 28 terms at eps = 1e-4, against 74 on the whole
+        # line, from a windowed rule of 396 candidates, against 792
         worst = 0.0
         for b in STRIP_BETAS:
             sym = LineSymbol(kind, beta=b, eps=eps)
@@ -105,11 +107,24 @@ class TestCompression:
                 assert k.err <= 1e-13
                 if w == 80.0 and eps == 1e-4:
                     assert k.terms <= 30
+                    windowed = len(cut_rule(eps, b, expsum.WINDOW_MARGIN * w)[0])
+                    assert windowed <= 450 and windowed < len(cut_rule(eps, b)[0])
                 u = np.concatenate([[0.0], np.geomspace(1e-6 * w, w, 2000)])
                 for side in ((u, -u) if kind is LineKind.UHAT_EPS else (u,)):
                     full = raw(side)
                     worst = max(worst, np.max(np.abs(k(side) - full)) / np.max(np.abs(full)))
         assert worst <= 1e-13
+
+    def test_cut_rule_reach(self):
+        # 12 nodes a level: 42 + 24 levels on the whole line at eps = 1e-4,
+        # 20 + 13 for the reach 120 of the window 80; a reach past the whole
+        # line's grading keeps its rule bit for bit
+        whole = cut_rule(1e-4, 0.3)
+        assert len(whole[0]) == 792
+        for reach, n in ((6.0, 348), (120.0, 396), (450.0, 420)):
+            assert len(cut_rule(1e-4, 0.3, reach)[0]) == n
+        for got, want in zip(cut_rule(1e-4, 0.3, 1e30), whole):
+            assert np.array_equal(got, want)
 
     def test_no_window_is_the_whole_line_grid(self):
         # window None samples to 40/eta_min, and a window past that changes
@@ -153,25 +168,37 @@ class TestExpsumLogdet:
 
     @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
     def test_batched_panel_blocks(self, kind):
-        # 5 panels of 16 nodes and a last one of 7, padded as expsum_logdet
+        # 5 full panels and a last one of 7 nodes, padded as expsum_logdet
         # pads it: each block is I + S k(x_i - x_j) S of its own panel
         k = cut_kernel(LineSymbol(kind, beta=0.3 + 0.2j, eps=0.1), 20.0)
-        rule = wh_rule(5.0, panels=29, nodes=3)
+        P = expsum.PANEL
+        rule = gauss_rule(5 * P + 7, (0.0, 5.0))
         x, s = rule.nodes, np.sqrt(rule.weights)
-        pad = 6 * expsum.PANEL - len(x)
-        assert len(x) == 87 and pad == 9
-        xs = np.concatenate([x, np.full(pad, x[-1])]).reshape(6, expsum.PANEL)
-        ss = np.concatenate([s, np.zeros(pad)]).reshape(6, expsum.PANEL)
-        blocks = expsum._panel_blocks(k, xs, ss)
-        for i, lo in enumerate(range(0, len(x), expsum.PANEL)):
-            xi, si = x[lo:lo + expsum.PANEL], s[lo:lo + expsum.PANEL]
+        pad = 6 * P - len(x)
+        xs = np.concatenate([x, np.full(pad, x[-1])]).reshape(6, P)
+        ss = np.concatenate([s, np.zeros(pad)]).reshape(6, P)
+        blocks = list(expsum._pairwise_blocks(k, xs, ss))
+        assert len(blocks) == 6
+        for i, lo in enumerate(range(0, len(x), P)):
+            xi, si = x[lo:lo + P], s[lo:lo + P]
             m = len(xi)
-            want = np.eye(m) + np.multiply.outer(si, si) * k.block(xi)
-            assert np.array_equal(blocks[i, :m, :m], want)
-            # and the kernel itself, read on both sides of the diagonal
             direct = np.eye(m) + np.multiply.outer(si, si) * k(np.subtract.outer(xi, xi))
-            assert np.max(np.abs(blocks[i, :m, :m] - direct)) <= 1e-15
-        assert np.array_equal(blocks[5, 7:, 7:], np.eye(9))
+            assert np.max(np.abs(blocks[i][:m, :m] - direct)) <= 1e-15
+        assert np.array_equal(blocks[5][7:, 7:], np.eye(P - 7))
+
+    @pytest.mark.parametrize("kind", [LineKind.UHAT_EPS, LineKind.PHI])
+    def test_split_block_is_pairwise(self, kind):
+        # ExpSum.block splits PANEL nodes down to BLOCK_LEAF; each product
+        # across a split is as accurate as the pairwise exponential, sech's
+        # exponents up to 100 included
+        k = sech_kernel(0.3) if kind is LineKind.PHI else cut_kernel(
+            LineSymbol(kind, beta=-0.3 + 0.2j, eps=1e-3), 20.0)
+        x = np.sort(gauss_rule(16, (0.0, 1.0, 2.0)).nodes)
+        assert len(x) > expsum.BLOCK_LEAF
+        want = k(np.subtract.outer(x, x))
+        got = k.block(x)
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+        assert np.array_equal(k.block(np.stack([x, x]))[1], got)
 
     def test_singular_panel(self):
         # one node of weight 1 with k(0) = -1: the only pivot is 1 + k(0) = 0
@@ -184,12 +211,46 @@ class TestExpsumLogdet:
             expsum_logdet(k, two)
 
     def test_partial_last_panel(self):
-        # N = 9 * 7 = 63 nodes: three full panels of 16 and one of 15
+        # three full panels and one a node short
+        P = expsum.PANEL
         sym = LineSymbol(LineKind.VHAT_EPS, beta=-0.6, eps=0.1)
-        rule = wh_rule(6.0, panels=9, nodes=7)
+        rule = gauss_rule(4 * P - 1, (0.0, 6.0))
         for sign in (+1, -1):
             assert rel_exp_diff(det_wr_pm_hr(TruncatedWH(sym, 6.0, rule, sign)),
                                 dense_wr_pm_hr(sym, rule, sign)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
+    def test_node_factored_blocks(self, kind, monkeypatch):
+        # on wh_rule every panel of a cut kernel is within NODE_FACTOR_REACH,
+        # so no block is formed pairwise; the odd kernel takes the
+        # non-symmetric branch
+        sym = LineSymbol(kind, beta=-0.3 + 0.2j, eps=0.05)
+        rule = wh_rule(6.0)
+        ends = np.sort(rule.nodes)[expsum.PANEL - 1::expsum.PANEL]
+        reach = np.max(cut_kernel(sym, 12.0).eta) * np.max(np.diff(ends))
+        assert reach <= expsum.NODE_FACTOR_REACH
+        monkeypatch.setattr(ExpSum, "block", _unreachable)
+        for sign in (+1, -1):
+            assert rel_exp_diff(det_wr_pm_hr(TruncatedWH(sym, 6.0, rule, sign)),
+                                dense_wr_pm_hr(sym, rule, sign)) <= 1e-12
+        assert rel_exp_diff(det_w2r(sym, 6.0, rule), dense_w2r(sym, rule)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [LineKind.PHI, LineKind.VHAT_EPS, LineKind.UHAT_EPS])
+    def test_pairwise_blocks(self, kind, monkeypatch):
+        # one panel of 16 nodes over [0, 40] is past NODE_FACTOR_REACH for
+        # every kernel, so its block is ExpSum.block's
+        sym = _symbol(kind, -0.3 + 0.2j, 0.05)
+        rule = gauss_rule(16, (0.0, 40.0))
+        k = sech_kernel(sym.beta) if kind is LineKind.PHI else cut_kernel(sym, 80.0)
+        assert np.max(k.eta) * np.ptp(rule.nodes) > expsum.NODE_FACTOR_REACH
+        calls = []
+        block = ExpSum.block
+        monkeypatch.setattr(ExpSum, "block", lambda self, x: calls.append(x.shape) or block(self, x))
+        for sign in (+1, -1):
+            assert rel_exp_diff(det_wr_pm_hr(TruncatedWH(sym, 40.0, rule, sign)),
+                                dense_wr_pm_hr(sym, rule, sign)) <= 1e-12
+        assert rel_exp_diff(det_w2r(sym, 40.0, rule), dense_w2r(sym, rule)) <= 1e-12
+        assert (1, expsum.PANEL) in calls
 
 
 # --- the dense oracle over each strip, real and complex beta ---------------

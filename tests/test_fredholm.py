@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import whdet.fredholm
+from whdet import quadrature
 from whdet import (
     DomainError,
     KernelFamily,
@@ -74,6 +75,15 @@ class TestGaussRule:
     def test_min_nodes(self):
         with pytest.raises(DomainError):
             gauss_rule(1, (0.0, 1.0))
+
+    def test_legendre_nodes_computed_once(self):
+        # one read-only copy per node count, which no rule can write through
+        xg, wg = quadrature._legendre(6)
+        assert quadrature._legendre(6)[0] is xg
+        assert not xg.flags.writeable and not wg.flags.writeable
+        r = gauss_rule(6, (-1.0, 1.0))
+        r.nodes[:] = 0.0
+        assert np.array_equal(xg, np.polynomial.legendre.leggauss(6)[0])
 
 
 def _g(t):

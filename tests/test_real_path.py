@@ -114,19 +114,19 @@ def _record_dtypes(mp, seen):
 
     for module in (fredholm, expsum):
         mp.setattr(module, "logdet", recorder(logdet))
-    # the Wiener-Hopf routes factor one panel at a time, by the LAPACK getrf
+    # the Wiener-Hopf routes factor one panel at a time, by the LAPACK gesv
     # that expsum_logdet fetches for its state's dtype
     get_lapack_funcs = expsum.get_lapack_funcs
 
-    def recording_getrf(getrf):
-        def recording(a, **kwargs):
+    def recording_gesv(gesv):
+        def recording(a, *args, **kwargs):
             seen.append(np.asarray(a).dtype)
-            return getrf(a, **kwargs)
+            return gesv(a, *args, **kwargs)
         return recording
 
     def recording_lapack(names, arrays):
         funcs = get_lapack_funcs(names, arrays)
-        return tuple(recording_getrf(fn) if name == "getrf" else fn
+        return tuple(recording_gesv(fn) if name == "gesv" else fn
                      for name, fn in zip(names, funcs))
 
     mp.setattr(expsum, "get_lapack_funcs", recording_lapack)
