@@ -118,23 +118,20 @@ class ExpSum:
         """The matrix k(x_i - x_j) for increasing x; for x of shape (..., n),
         one such matrix per row.
 
-        Up to BLOCK_LEAF nodes it is formed from one exponential per node
-        pair below the diagonal.  More nodes are split after the middle
-        node m: each half recurses, and the block between them is the
+        Up to BLOCK_LEAF nodes, or an odd number, it is formed from one
+        exponential per node pair below the diagonal.  An even number of
+        more nodes is split after the middle node m: both halves recurse
+        in one call, and the block between them is the
         rank-r product of e^{-eta (x_i - m)} and e^{-eta (m - x_j)}.  Both
         factors have d >= 0 and their arguments add up to the pair's
         eta (x_i - x_j), so the product is as accurate as the pairwise
         exponential at any eta."""
         x = np.asarray(x)
         n = x.shape[-1]
-        if n > BLOCK_LEAF:
+        if n > BLOCK_LEAF and n % 2 == 0:
             h = n // 2
             out = np.empty(x.shape + (n,), dtype=np.result_type(self.w_pos, self.w_neg))
-            if n == 2 * h:
-                out[..., :h, :h], out[..., h:, h:] = self.block(np.stack([x[..., :h], x[..., h:]]))
-            else:
-                out[..., :h, :h] = self.block(x[..., :h])
-                out[..., h:, h:] = self.block(x[..., h:])
+            out[..., :h, :h], out[..., h:, h:] = self.block(np.stack([x[..., :h], x[..., h:]]))
             m = x[..., h - 1:h]
             down = np.multiply.outer(x[..., h:] - m, -self.eta)
             up = np.multiply.outer(m - x[..., :h], -self.eta)
@@ -291,10 +288,9 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     d = np.exp(-eta * x[0])
     f = -(d[:, None] * M * d).astype(np.result_type(p, h_pos, h_neg, M))
     (gesv,) = get_lapack_funcs(("gesv",), (f,))
-    # near panels: s_i s_j k(x_i - x_j) = p_i g_j^T below the diagonal; g is
-    # not read on the others
+    # near panels: s_i s_j k(x_i - x_j) = p_i g_j^T below the diagonal
     near = np.max(eta) * (ends - refs) <= NODE_FACTOR_REACH
-    g_pos = g_neg = h_pos
+    g_pos = g_neg = None
     if np.any(near):
         up = np.exp(-e, where=near[panel][:, None], out=np.zeros_like(e))
         up *= s[:, None]
