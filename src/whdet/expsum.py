@@ -121,11 +121,11 @@ class ExpSum:
         Up to BLOCK_LEAF nodes, or an odd number, it is formed from one
         exponential per node pair below the diagonal.  An even number of
         more nodes is split after the middle node m: both halves recurse
-        in one call, and the block between them is the
-        rank-r product of e^{-eta (x_i - m)} and e^{-eta (m - x_j)}.  Both
-        factors have d >= 0 and their arguments add up to the pair's
-        eta (x_i - x_j), so the product is as accurate as the pairwise
-        exponential at any eta."""
+        in one call, and the block between them is the rank-r product of
+        e^{-eta (x_i - m)} and e^{-eta (m - x_j)}.  Both factors have
+        d >= 0 and their arguments add up to the pair's eta (x_i - x_j),
+        so the product is as accurate as the pairwise exponential at any
+        eta."""
         x = np.asarray(x)
         n = x.shape[-1]
         if n > BLOCK_LEAF and n % 2 == 0:
@@ -273,7 +273,7 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     refs = np.concatenate([x[:1], ends[:-1]])
     panel = np.arange(n) // PANEL
     eta = k.eta
-    e = np.multiply.outer(refs[panel] - x, eta)
+    e = np.multiply.outer(refs[panel] - x, eta)  # -eta (x_i - e_{I-1})
     p = np.exp(e)
     p *= s[:, None]
     q = np.multiply.outer(x - ends[panel], eta)

@@ -180,6 +180,9 @@ class TestExpsumLogdet:
         blocks = list(expsum._pairwise_blocks(k, xs, ss))
         assert len(blocks) == 6
         for i, lo in enumerate(range(0, len(x), P)):
+            want = np.eye(P) + np.multiply.outer(ss[i], ss[i]) * k.block(xs[i])
+            assert np.array_equal(blocks[i], want)
+            # and the kernel itself, read on both sides of the diagonal
             xi, si = x[lo:lo + P], s[lo:lo + P]
             m = len(xi)
             direct = np.eye(m) + np.multiply.outer(si, si) * k(np.subtract.outer(xi, xi))
