@@ -32,16 +32,12 @@ IEOT 8, 1985), one panel of PANEL nodes at a time, on an r x r state.
 The Hankel term is the recursion's starting state, its left boundary
 condition, not extra generators.  Every factor it carries from panel to
 panel is an e^{-eta d} with d >= 0, so no truncation length can overflow
-it.  Inside a panel the block k(x_i - x_j) is the product of the
-exponentials e^{-eta (x_i - c)} and e^{eta (x_j - c)} about the node c
-just before the panel (its first node, for the first panel) wherever
-eta_max times the panel's reach from c is at most NODE_FACTOR_REACH: the
-growing factor is then at most e^4, and the rounding of its argument
-within a few ulp of the pairwise e^{-eta (x_i - x_j)}'s.  Wider panels
-take their blocks from factors e^{-eta d} with d >= 0 alone
-(``ExpSum.block``).  At a few dozen terms the panels are small enough
-that call overhead, not arithmetic, sets the pace, so each step makes one
-LAPACK call and the determinant is read once, from all the pivots.
+it.  Inside a panel the block k(x_i - x_j) comes from ``ExpSum.block``,
+whose factors are e^{-eta d} with d >= 0 too: pairwise on the smallest
+blocks, and across each split m from e^{-eta (x_i - m)} e^{-eta (m - x_j)}.
+At a few dozen terms the panels are small enough that call overhead, not
+arithmetic, sets the pace, so each step makes one LAPACK call and the
+determinant is read once, from all the pivots.
 """
 
 from __future__ import annotations
@@ -73,11 +69,6 @@ PANEL = 32
 BATCH = 8
 #: most nodes ExpSum.block forms pairwise before it splits them in two
 BLOCK_LEAF = 8
-#: largest eta_max (e_I - e_{I-1}) at which expsum_logdet forms the block of
-#: panel I from per-node exponentials about c = e_{I-1}: each factor's
-#: argument is then at most 4, so rounding it moves the factor by at most
-#: about 4 ulp, as rounding the pairwise e^{-eta (x_i - x_j)} may
-NODE_FACTOR_REACH = 4.0
 
 
 @dataclass(frozen=True)
@@ -251,18 +242,13 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     starts at f = -D M D, in place of zero, and the Hankel term needs no
     generators of its own.
 
-    Where eta_max (e_I - e_{I-1}) <= NODE_FACTOR_REACH, the in-panel block
-    below the diagonal is p_i g_j^T, with the generators p and
-    g_j = s_j w_pos e^{eta (x_j - e_{I-1})}, so gamma_I's lower triangle is
-    the one product p (g - p f)^T; above the diagonal it is the same with
-    w_neg and i, j swapped.  Every other panel takes D_I from
-    ``ExpSum.block``, BATCH panels at a time (``_pairwise_blocks``).  Each
-    step makes one LAPACK call, gesv, which factors gamma_I and solves
-    for gamma_I^{-1} (p f a - q) at once, and the determinant is read once,
-    from every pivot and row interchange (``logdet.pivot_logdet``).  An
-    explicit inverse (getri) in place of the solve made a whole pass 3-4%
-    faster, but at b = -0.9, eps = 1e-4 it took the doubling identity's
-    residual at R = 150 from 7e-13 to 1.5e-11.
+    Each panel takes D_I from ``ExpSum.block``, BATCH panels at a time
+    (``_panel_blocks``).  Each step makes one LAPACK call, gesv, which
+    factors gamma_I and solves for gamma_I^{-1} (p f a - q) at once, and
+    the determinant is read once, from every pivot and row interchange
+    (``logdet.pivot_logdet``).  An explicit inverse (getri) in place of the
+    solve made a whole pass 3-4% faster, but at b = -0.9, eps = 1e-4 it
+    took the doubling identity's residual at R = 150 from 7e-13 to 1.5e-11.
     """
     order = np.argsort(rule.nodes, kind="stable")
     x = rule.nodes[order]
@@ -273,14 +259,9 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     refs = np.concatenate([x[:1], ends[:-1]])
     panel = np.arange(n) // PANEL
     eta = k.eta
-    e = np.multiply.outer(refs[panel] - x, eta)  # -eta (x_i - e_{I-1})
-    p = np.exp(e)
-    p *= s[:, None]
-    q = np.multiply.outer(x - ends[panel], eta)
-    np.exp(q, out=q)
-    q *= s[:, None]
+    p = s[:, None] * np.exp(-np.multiply.outer(x - refs[panel], eta))
+    q = s[:, None] * np.exp(-np.multiply.outer(ends[panel] - x, eta))
     a = np.exp(-np.multiply.outer(ends - refs, eta))
-    aa = a[:, :, None] * a[:, None, :]
     h_pos = q * k.w_pos
     h_neg = h_pos if k.even else q * k.w_neg
     M = np.zeros((k.terms, k.terms)) if M is None else M
@@ -288,20 +269,11 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     d = np.exp(-eta * x[0])
     f = -(d[:, None] * M * d).astype(np.result_type(p, h_pos, h_neg, M))
     (gesv,) = get_lapack_funcs(("gesv",), (f,))
-    # near panels: s_i s_j k(x_i - x_j) = p_i g_j^T below the diagonal
-    near = np.max(eta) * (ends - refs) <= NODE_FACTOR_REACH
-    g_pos = g_neg = None
-    if np.any(near):
-        up = np.exp(-e, where=near[panel][:, None], out=np.zeros_like(e))
-        up *= s[:, None]
-        g_pos = up * k.w_pos
-        g_neg = g_pos if k.even else up * k.w_neg
-    one = 1.0 + 0.5 * (np.sum(k.w_pos) + np.sum(k.w_neg)) * s * s
-    # far panels, the last one padded to PANEL nodes of zero weight
+    # the last panel may be short: pad it to PANEL nodes of zero weight
     pad = len(starts) * PANEL - n
     xs = np.concatenate([x, np.full(pad, x[-1])]).reshape(-1, PANEL)
     ss = np.concatenate([s, np.zeros(pad)]).reshape(-1, PANEL)
-    far = _pairwise_blocks(k, xs[~near], ss[~near])
+    blocks = _panel_blocks(k, xs, ss)
     diag = np.empty(n, dtype=f.dtype)
     piv = np.empty(n, dtype=np.int32)
     for i, start in enumerate(starts):
@@ -309,58 +281,27 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
         pi = p[sl]
         m = len(pi)
         u = pi @ f
-        if not near[i]:
-            gamma = next(far)[:m, :m] - u @ pi.T
-        elif symmetric:
-            gamma = pi @ (g_pos[sl] - u).T
-            gamma += _identity(m)
-            gamma = np.where(_on_or_below(m), gamma, gamma.T)
-        else:
-            gamma = np.where(_on_or_below(m), pi @ g_pos[sl].T, (pi @ g_neg[sl].T).T)
-            _diagonal(gamma)[:] = one[sl]
-            gamma -= u @ pi.T
+        gamma = next(blocks)[:m, :m] - u @ pi.T
         right = u * a[i] - h_neg[sl]
         left = right.T if symmetric else a[i][:, None] * (f @ pi.T) - h_pos[sl].T
         lu, piv[sl], solved, _ = gesv(gamma, right, overwrite_a=True)
         diag[sl] = lu.diagonal()
-        f *= aa[i]
+        f *= np.outer(a[i], a[i])
         f += left @ solved
     # gesv's pivots count from 0 within each panel
     return pivot_logdet(diag, int(np.count_nonzero(piv != np.arange(n) % PANEL)))
 
 
-def _pairwise_blocks(k: ExpSum, x: np.ndarray, s: np.ndarray):
+def _panel_blocks(k: ExpSum, x: np.ndarray, s: np.ndarray):
     """Yield I + S k(x_i - x_j) S for each row of the panels x (panels x
     nodes, increasing along each row), with S = diag of the same row of s;
     ``ExpSum.block`` forms them BATCH panels at a time."""
     for first in range(0, len(x), BATCH):
         out = k.block(x[first:first + BATCH])
         out *= s[first:first + BATCH, :, None] * s[first:first + BATCH, None, :]
-        _diagonal(out)[:] += 1.0
+        i = np.arange(x.shape[-1])
+        out[..., i, i] += 1.0
         yield from out
-
-
-@functools.cache
-def _on_or_below(n):
-    """The n x n mask of i >= j; read-only, as every caller shares it."""
-    mask = np.tri(n, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-@functools.cache
-def _identity(n):
-    """The n x n identity; read-only, as every caller shares it."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
-def _diagonal(a: np.ndarray) -> np.ndarray:
-    """A writable view of the diagonals of the C-ordered stack of square
-    matrices a."""
-    n = a.shape[-1]
-    return a.reshape(a.shape[:-2] + (n * n,))[..., ::n + 1]
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ class TestExpsumLogdet:
         pad = 6 * P - len(x)
         xs = np.concatenate([x, np.full(pad, x[-1])]).reshape(6, P)
         ss = np.concatenate([s, np.zeros(pad)]).reshape(6, P)
-        blocks = list(expsum._pairwise_blocks(k, xs, ss))
+        blocks = list(expsum._panel_blocks(k, xs, ss))
         assert len(blocks) == 6
         for i, lo in enumerate(range(0, len(x), P)):
             want = np.eye(P) + np.multiply.outer(ss[i], ss[i]) * k.block(xs[i])
@@ -222,30 +222,14 @@ class TestExpsumLogdet:
             assert rel_exp_diff(det_wr_pm_hr(TruncatedWH(sym, 6.0, rule, sign)),
                                 dense_wr_pm_hr(sym, rule, sign)) <= 1e-13
 
-    @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
-    def test_node_factored_blocks(self, kind, monkeypatch):
-        # on wh_rule every panel of a cut kernel is within NODE_FACTOR_REACH,
-        # so no block is formed pairwise; the odd kernel takes the
-        # non-symmetric branch
-        sym = LineSymbol(kind, beta=-0.3 + 0.2j, eps=0.05)
-        rule = wh_rule(6.0)
-        ends = np.sort(rule.nodes)[expsum.PANEL - 1::expsum.PANEL]
-        reach = np.max(cut_kernel(sym, 12.0).eta) * np.max(np.diff(ends))
-        assert reach <= expsum.NODE_FACTOR_REACH
-        monkeypatch.setattr(ExpSum, "block", _unreachable)
-        for sign in (+1, -1):
-            assert rel_exp_diff(det_wr_pm_hr(TruncatedWH(sym, 6.0, rule, sign)),
-                                dense_wr_pm_hr(sym, rule, sign)) <= 1e-12
-        assert rel_exp_diff(det_w2r(sym, 6.0, rule), dense_w2r(sym, rule)) <= 1e-12
-
     @pytest.mark.parametrize("kind", [LineKind.PHI, LineKind.VHAT_EPS, LineKind.UHAT_EPS])
-    def test_pairwise_blocks(self, kind, monkeypatch):
-        # one panel of 16 nodes over [0, 40] is past NODE_FACTOR_REACH for
-        # every kernel, so its block is ExpSum.block's
+    def test_single_wide_panel(self, kind, monkeypatch):
+        # one short panel of 16 nodes over [0, 40], padded to PANEL: the
+        # sech kernel's exponents (up to 100.5) reach e^{-4000} across it,
+        # and ExpSum.block's products across each split must not overflow
         sym = _symbol(kind, -0.3 + 0.2j, 0.05)
         rule = gauss_rule(16, (0.0, 40.0))
-        k = sech_kernel(sym.beta) if kind is LineKind.PHI else cut_kernel(sym, 80.0)
-        assert np.max(k.eta) * np.ptp(rule.nodes) > expsum.NODE_FACTOR_REACH
+        assert len(rule) < expsum.PANEL
         calls = []
         block = ExpSum.block
         monkeypatch.setattr(ExpSum, "block", lambda self, x: calls.append(x.shape) or block(self, x))
