@@ -294,10 +294,10 @@ def cut_rule(eps: float, b, reach: Optional[float] = None) -> tuple[np.ndarray, 
     product integration: the Gauss-Jacobi nodes of the weight d^{Re e}
     (e = b toward eps, -b toward 1) and the weights that integrate
     d^e p(d) exactly for every p of degree < 12, from the closed-form
-    moments of d^e against Legendre polynomials.  So the singularity, its phase d^{i Im e} included, is
-    integrated exactly however near |Re b| is to 1; for a real b these
-    are the Gauss-Jacobi weights.  Distances to the ends are formed
-    directly, never as 1 - eta.
+    moments of d^e against Legendre polynomials.  So the singularity, its
+    phase d^{i Im e} included, is integrated exactly however near |Re b|
+    is to 1; for a real b these are the Gauss-Jacobi weights.  Distances
+    to the ends are formed directly, never as 1 - eta.
 
     Each level halves the distance to its end.  For f(eta) = e^{-eta u} on
     the whole line, 24 levels go toward 1 and
@@ -377,10 +377,9 @@ def cut_kernel(s: LineSymbol, window: Optional[float] = None) -> ExpSum:
     samples, WINDOW_MARGIN * window, and grades only as finely as that
     reach needs (396 terms at eps = 1e-4 on the window 80), and the
     compression keeps fewer (19 to 28 at eps = 1e-4 on the windows 2R of
-    R = 10 to 40).  For
-    the jump symbol the weights for w > 0 and w < 0 have opposite
-    exponents, so the two rules are concatenated.  Every base of a power
-    is positive, so a real beta gives real weights.
+    R = 10 to 40).  For the jump symbol the weights for w > 0 and w < 0
+    have opposite exponents, so the two rules are concatenated.  Every
+    base of a power is positive, so a real beta gives real weights.
     """
     if s.kind not in (LineKind.VHAT_EPS, LineKind.UHAT_EPS):
         raise DomainError(f"no branch-cut kernel for symbol kind {s.kind}")
