@@ -78,7 +78,6 @@ from .wienerhopf import (
     TruncatedWH,
     det_w2r,
     det_wr_pm_hr,
-    factor_product_logdet,
     reflected_union_rule,
     wh_rule,
 )

@@ -22,13 +22,14 @@ e^{-eta_q i}: H = E diag(w) E^T with E_{jq} = e^{-eta_q j}, so
 det(I + H) = det(I_r + diag(w) G) for the Gram matrix G = E^T E, a
 geometric sum in closed form at any number of rows, infinity included.
 
-``expsum_logdet`` takes log det(I + S (T_k + E M E^T) S), where
+``expsum_logdet`` takes log det(I + S (T_k + sign H_k) S), where
 T_k(i, j) = k(x_i - x_j) on sorted nodes, S = diag(sqrt(quadrature
-weights)) and E M E^T, E_iq = e^{-eta_q x_i}, is a Hankel term on the
-kernel's own exponents, in O(N r^2) time and O(N r) memory for r
-exponentials: the block LU of a quasiseparable matrix (Gohberg, Kailath &
-Koltracht, "Linear complexity algorithms for semiseparable matrices",
-IEOT 8, 1985), one panel of PANEL nodes at a time, on an r x r state.
+weights)) and H_k(i, j) = k(x_i + x_j) = sum_q w_q e^{-eta_q x_i}
+e^{-eta_q x_j} is the kernel's own Hankel block, with sign +1, -1 or 0,
+in O(N r^2) time and O(N r) memory for r exponentials: the block LU of a
+quasiseparable matrix (Gohberg, Kailath & Koltracht, "Linear complexity
+algorithms for semiseparable matrices", IEOT 8, 1985), one panel of PANEL
+nodes at a time, on an r x r state.
 The Hankel term is the recursion's starting state, its left boundary
 condition, not extra generators.  Every factor it carries from panel to
 panel is an e^{-eta d} with d >= 0, so no truncation length can overflow
@@ -76,16 +77,13 @@ class ExpSum:
     """k(u) = sum_q w_pos[q] e^{-eta_q u} for u > 0, sum_q w_neg[q] e^{eta_q u}
     for u < 0, and the mean of the two at u = 0.
 
-    A compressed sum carries ``interp`` (terms x original terms), with
-    e^{-eta'_q u} ~ sum_p interp[p, q] e^{-eta_p u} for every original
-    exponent eta'_q, and ``err``, the sup error of the compression on its
-    sample grid relative to max |k| there.
+    A compressed sum carries ``err``, the sup error of the compression on
+    its sample grid relative to max |k| there.
     """
 
     eta: np.ndarray
     w_pos: np.ndarray
     w_neg: np.ndarray
-    interp: Optional[np.ndarray] = None
     err: float = 0.0
 
     @property
@@ -151,7 +149,8 @@ class ExpSum:
         that reads its kernel on 0 <= u <= window keeps far fewer terms.
         None fits it wherever any term is above e^{-40}.
 
-        The refit weights are interp @ w.  In exact arithmetic that is the
+        The refit weights are interp @ w, with the interpolation matrix of
+        ``_fit``.  In exact arithmetic that is the
         least-squares solution from the kept columns; formed from the
         samples E w, it would carry their rounding amplified by the
         columns' smallest pivots, near COMPRESS_TOL."""
@@ -207,7 +206,9 @@ def _fit(eta, fit, window: Optional[float] = None) -> ExpSum:
     """Pivoted QR of E = e^{-u eta} on the sample grid u (``_grid``), R
     alone: Q is never formed.  ``fit`` gives the weights of the kept
     columns, and the samples they are measured against, from u, E, the
-    kept columns' indices and their interpolation matrix."""
+    kept columns' indices and their interpolation matrix interp (kept
+    terms x candidates), e^{-eta_q u} ~ sum_p interp[p, q] e^{-eta_p u}
+    for every candidate eta_q over the kept eta_p."""
     u = _grid(eta, window)
     E = np.exp(-np.multiply.outer(u, eta))
     R, perm = qr(E, mode="r", pivoting=True)
@@ -220,14 +221,15 @@ def _fit(eta, fit, window: Optional[float] = None) -> ExpSum:
     E1 = E[:, keep]
     scale = max(np.max(np.abs(pos)), np.max(np.abs(neg)))
     err = max(np.max(np.abs(E1 @ w_pos - pos)), np.max(np.abs(E1 @ w_neg - neg)))
-    return ExpSum(eta[keep], w_pos, w_neg, interp, float(err / scale) if scale else 0.0)
+    return ExpSum(eta[keep], w_pos, w_neg, float(err / scale) if scale else 0.0)
 
 
-def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> LogDet:
-    """log det(I + S (T_k + E M E^T) S) on the nodes of ``rule``.
+def expsum_logdet(k: ExpSum, rule: QuadRule, sign: int = 0) -> LogDet:
+    """log det(I + S (T_k + sign H_k) S) on the nodes of ``rule``.
 
-    S = diag(sqrt(rule.weights)), T_k(i, j) = k(x_i - x_j), and the
-    optional Hankel term has E_iq = e^{-eta_q x_i} and M (terms x terms).
+    S = diag(sqrt(rule.weights)), T_k(i, j) = k(x_i - x_j), and the Hankel
+    block H_k(i, j) = k(x_i + x_j) = (E diag(w_pos) E^T)_ij, E_iq =
+    e^{-eta_q x_i}, enters with sign +1 or -1; sign 0 leaves it out.
     The nodes are taken in increasing order and cut into panels of PANEL;
     e_I is the last node of panel I and e_{-1} = x_0 the first node.
     Below the diagonal T_k has the generators
@@ -239,8 +241,8 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     Eliminating a leading block with inverse f, coupled to every node
     through the generators p, leaves -p f p^T behind, carried forward by
     the transitions; since p_i D = E_i for D = diag(e^{-eta x_0}), the state
-    starts at f = -D M D, in place of zero, and the Hankel term needs no
-    generators of its own.
+    starts at f = -sign D diag(w_pos) D, in place of zero, and the Hankel
+    term needs no generators of its own.
 
     Each panel takes D_I from ``ExpSum.block``, BATCH panels at a time
     (``_panel_blocks``).  Each step makes one LAPACK call, gesv, which
@@ -250,6 +252,8 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     solve made a whole pass 3-4% faster, but at b = -0.9, eps = 1e-4 it
     took the doubling identity's residual at R = 150 from 7e-13 to 1.5e-11.
     """
+    if sign not in (-1, 0, 1):
+        raise DomainError(f"sign must be -1, 0 or +1, got {sign!r}")
     order = np.argsort(rule.nodes, kind="stable")
     x = rule.nodes[order]
     s = np.sqrt(rule.weights[order])
@@ -264,10 +268,8 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
     a = np.exp(-np.multiply.outer(ends - refs, eta))
     h_pos = q * k.w_pos
     h_neg = h_pos if k.even else q * k.w_neg
-    M = np.zeros((k.terms, k.terms)) if M is None else M
-    symmetric = k.even and np.array_equal(M, M.T)
     d = np.exp(-eta * x[0])
-    f = -(d[:, None] * M * d).astype(np.result_type(p, h_pos, h_neg, M))
+    f = np.diag(-(d * (sign * k.w_pos)) * d).astype(np.result_type(p, h_pos, h_neg))
     (gesv,) = get_lapack_funcs(("gesv",), (f,))
     # the last panel may be short: pad it to PANEL nodes of zero weight
     pad = len(starts) * PANEL - n
@@ -283,7 +285,7 @@ def expsum_logdet(k: ExpSum, rule: QuadRule, M: Optional[np.ndarray] = None) -> 
         u = pi @ f
         gamma = next(blocks)[:m, :m] - u @ pi.T
         right = u * a[i] - h_neg[sl]
-        left = right.T if symmetric else a[i][:, None] * (f @ pi.T) - h_pos[sl].T
+        left = right.T if k.even else a[i][:, None] * (f @ pi.T) - h_pos[sl].T
         lu, piv[sl], solved, _ = gesv(gamma, right, overwrite_a=True)
         diag[sl] = lu.diagonal()
         f *= np.outer(a[i], a[i])

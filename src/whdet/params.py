@@ -13,8 +13,7 @@ SECH              (-3/2, 1/2)         LineSymbol(PHI), sech_kernel, ln_akhiezer_
 CONTINUOUS_PLUS   (-1/2, 3/2)         CONTINUOUS_PLUS, hankel_section_inverse_det
                                       with sign +1
 CONTINUOUS_MINUS  (-1, 1/2)           CONTINUOUS_MINUS, CBETA, ln_c_beta
-KERNEL_FAMILY     (-1, 1)             cut_kernel (so every cut route),
-                                      factor_product_logdet, KernelSpec
+KERNEL_FAMILY     (-1, 1)             cut_kernel (so every cut route), KernelSpec
 HANKEL_REG        Re b > -1           fredholm_det_hankel_reg (its cut integral)
 DISCRETE_PLUS     b off -1/2, -3/2..  DISCRETE_PLUS, d_n_exact with sign +1
 DISCRETE_MINUS    b off -3/2, -5/2..  DISCRETE_MINUS, d_n_exact with sign -1

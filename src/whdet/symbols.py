@@ -407,7 +407,7 @@ def _sech_sum() -> ExpSum:
     Every caller shares it, so its arrays are read-only."""
     k = fit_even(0.5 + np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 300)]),
                  lambda u: 1.0 / np.cosh(u / 2.0))
-    for a in (k.eta, k.w_pos, k.interp):
+    for a in (k.eta, k.w_pos):
         a.setflags(write=False)
     return k
 
@@ -418,4 +418,4 @@ def sech_kernel(beta) -> ExpSum:
     b = working_beta(check_beta(beta, BetaContext.SECH))
     base = _sech_sum()
     w = -sin_pi(b) / (2.0 * np.pi) * base.w_pos
-    return ExpSum(base.eta, w, w, base.interp, base.err)
+    return ExpSum(base.eta, w, w, base.err)

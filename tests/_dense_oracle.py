@@ -34,7 +34,6 @@ from whdet import (
     ExpSum,
     LineKind,
     cut_kernel,
-    cut_rule,
     logdet,
     reg_coeff_table,
 )
@@ -111,19 +110,6 @@ def dense_wr_pm_hr(symbol, rule, sign):
 
 def dense_w2r(symbol, rule):
     return logdet(dense_system(symbol, rule, 0))
-
-
-def dense_factor_product(beta, eps, R, rule):
-    """The Nystrom matrix of W_R(a_-) W_R(a_+), assembled in full."""
-    check_dense("dense_factor_product", len(rule), _itemsize(beta), 5)  # as dense_system
-    b = working_beta(complex(beta))
-    xs = rule.nodes
-    eta, W = cut_rule(eps, b)
-    W = -_sin_pi(b) / np.pi * W
-    G = np.multiply.outer(W, W) / np.add.outer(eta, eta)
-    K = _cut_blocks(ExpSum(eta, W + np.sum(G, axis=0), W + np.sum(G, axis=0)), xs, 0)
-    A = np.exp(-np.multiply.outer(eta, R - xs))
-    return logdet(_with_identity(K - A.T @ G @ A, rule))
 
 
 def dense_hankel(coeffs, start, stop):

@@ -24,7 +24,6 @@ from whdet import (
     det_w2r,
     det_wr_pm_hr,
     expsum_logdet,
-    factor_product_logdet,
     gauss_rule,
     reflected_union_rule,
     rel_exp_diff,
@@ -36,7 +35,6 @@ from whdet.logdet import _MAX_DENSE_BYTES, check_dense
 from whdet.params import EXCLUSION_TOL, _STRIPS
 
 from _dense_oracle import (
-    dense_factor_product,
     dense_hankel,
     dense_section_inverse,
     dense_w2r,
@@ -83,14 +81,6 @@ class TestCompression:
         ratio = b.w_pos / a.w_pos
         assert np.allclose(ratio, ratio[0], rtol=1e-15, atol=0)
 
-    def test_interpolation_matrix(self):
-        # every original exponential from the kept ones
-        sym = LineSymbol(LineKind.VHAT_EPS, beta=0.3, eps=1e-3)
-        k, raw = cut_kernel(sym), raw_cut_kernel(sym)
-        u = _check_grid(1e-3)
-        approx = np.exp(-np.multiply.outer(u, k.eta)) @ k.interp
-        assert np.max(np.abs(approx - np.exp(-np.multiply.outer(u, raw.eta)))) <= 1e-13
-
     @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
     def test_windowed_cut_kernel_on_its_window(self, kind, eps):
@@ -135,7 +125,7 @@ class TestCompression:
         assert np.array_equal(expsum._grid(raw.eta),
                               np.concatenate([[0.0], np.geomspace(lo, hi, n)]))
         whole, far = raw.compress(), raw.compress(hi / expsum.WINDOW_MARGIN)
-        for name in ("eta", "w_pos", "w_neg", "interp", "err"):
+        for name in ("eta", "w_pos", "w_neg", "err"):
             assert np.array_equal(getattr(whole, name), getattr(far, name)), name
 
     @pytest.mark.parametrize("window", [1e-6, 1e-3, 4e-3])
@@ -163,8 +153,14 @@ class TestExpsumLogdet:
         rule = wh_rule(5.0, panels=10, nodes=8)
         perm = np.random.default_rng(0).permutation(len(rule))
         shuffled = QuadRule(rule.nodes[perm], rule.weights[perm], rule.interval)
-        M = np.diag(k.w_pos)
-        assert rel_exp_diff(expsum_logdet(k, rule, M), expsum_logdet(k, shuffled, M)) <= 1e-13
+        assert rel_exp_diff(expsum_logdet(k, rule, +1), expsum_logdet(k, shuffled, +1)) <= 1e-13
+
+    @pytest.mark.parametrize("sign", [2, -2, 0.5])
+    def test_sign_outside_the_three_rejected(self, sign):
+        k = ExpSum(np.array([1.0]), np.array([0.5]), np.array([0.5]))
+        rule = QuadRule(np.array([0.5]), np.array([1.0]), (0.0, 1.0))
+        with pytest.raises(DomainError, match="sign"):
+            expsum_logdet(k, rule, sign)
 
     @pytest.mark.parametrize("kind", [LineKind.VHAT_EPS, LineKind.UHAT_EPS])
     def test_batched_panel_blocks(self, kind):
@@ -317,15 +313,6 @@ def test_det_w2r_matches_dense(kind, u, im, R, eps):
     assert rel_exp_diff(det_w2r(sym, 2.0 * R, rule), dense_w2r(sym, rule)) <= 1e-12
 
 
-@PROPERTY
-@given(u=FRACTION, im=IMAG, R=R_SIZE, eps=EPS, gaps=GAPS)
-def test_factor_product_matches_dense(u, im, R, eps, gaps):
-    b = _beta(BetaContext.KERNEL_FAMILY, u, im)
-    for rule in _rules(R, gaps):
-        got = factor_product_logdet(b, eps, R, rule=rule)
-        assert rel_exp_diff(got, dense_factor_product(b, eps, R, rule)) <= 1e-12
-
-
 # --- the dense oracles refuse an order over the library's cap --------------
 
 def _rule(N):
@@ -337,7 +324,6 @@ def _rule(N):
 ORACLES = {
     "dense_system": (5, lambda b, N: dense_wr_pm_hr(
         LineSymbol(LineKind.VHAT_EPS, beta=b, eps=0.1), _rule(N), +1)),
-    "dense_factor_product": (5, lambda b, N: dense_factor_product(b, 0.1, 2.0, _rule(N))),
     "dense_hankel": (3, lambda b, N: dense_hankel(
         np.zeros(2 * N + 1, dtype=np.result_type(b)), 0, N)),
     "dense_section_inverse": (3, lambda b, N: dense_section_inverse(b, 4, +1, N)),

@@ -11,7 +11,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import whdet.symbols
@@ -122,6 +122,9 @@ class TestCoefficientSums:
 @PROPERTY
 @given(u=FRACTION, im=IMAG, r=st.floats(0.5, 0.99), start=st.sampled_from([0, 1, 3]),
        stop=st.sampled_from([8, 64, 512]))
+# b = 1.8125: off by 1.1e-12 at sign +1, 1.7e-15 at -1.  Pinned here, since the
+# draws hypothesis makes depend on the literals of every loaded module
+@example(u=0.9375, im=0.0, r=0.984375, start=0, stop=8)
 def test_reg_sections_match_dense(sign, u, im, r, start, stop):
     # Q_s H_N Q_s for s = start, N = stop, explicit rows included at Re b >= 1/2
     b = _beta(BetaContext.HANKEL_REG, u, im)

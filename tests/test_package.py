@@ -1,12 +1,16 @@
 """What a fresh ``import whdet`` loads: no adaptive quadrature or optimizer
 code, which no library route uses (the quadrature oracles live in
-``tests/_quad_oracle.py``); and which module may import which."""
+``tests/_quad_oracle.py``); which module may import which; and that every
+name the benchmark calls exists."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import whdet
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,9 +65,47 @@ def test_closed_forms_behind_one_module():
 
 def test_expsum_takes_kernels_not_symbols():
     """``expsum`` imports nothing from the package but ``errors``, ``logdet``
-    and ``quadrature``: its recursion takes an exponential sum and a Hankel
-    term M, never a symbol or a route."""
+    and ``quadrature``: its recursion takes an exponential sum and the sign
+    of its Hankel block, never a symbol or a route."""
     tree = ast.parse((ROOT / "src" / "whdet" / "expsum.py").read_text())
     package = {p.stem for p in (ROOT / "src" / "whdet").glob("*.py")} | {"whdet", ""}
     imported = {m for m, _ in _module_imports(tree) if m in package}
     assert imported <= {"errors", "logdet", "quadrature"}, imported
+
+
+def _whdet_names(source):
+    """Every dotted name rooted at ``whdet`` in a Python source, and in each
+    of its string constants that parses as Python (bench/run.py's setup
+    code is one)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _whdet_names(node.value)
+            except (SyntaxError, ValueError):
+                pass
+        elif isinstance(node, ast.Attribute):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "whdet":
+                names.add(".".join(reversed(parts)))
+    return names
+
+
+def test_benchmark_names_exist():
+    """Every ``whdet.<name>`` the benchmark's workloads and runner call
+    exists.  This suite does not collect bench/, so without this a public
+    name deleted from under the benchmark would show only as a failed
+    benchmark pass."""
+    names = set().union(*(_whdet_names((ROOT / "bench" / f).read_text())
+                          for f in ("workloads.py", "run.py")))
+    assert {"det_wr_pm_hr", "wh_rule", "reflected_union_rule", "d_n"} <= names
+    missing = set()
+    for name in names:
+        try:
+            functools.reduce(getattr, name.split("."), whdet)
+        except AttributeError:
+            missing.add(name)
+    assert not missing, sorted(missing)

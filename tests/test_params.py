@@ -16,6 +16,7 @@ from whdet import (
     KernelSpec,
     LineKind,
     LineSymbol,
+    QuadRule,
     TruncatedWH,
     asymptote_log,
     check_beta,
@@ -27,7 +28,6 @@ from whdet import (
     det_w2r,
     det_wr_pm_hr,
     expsum,
-    factor_product_logdet,
     finite_section_quotient,
     fourier_coeff_u,
     fourier_coeff_v,
@@ -126,8 +126,6 @@ BETA_READERS = {
     "ln_det_hankel_reg_exact": lambda b: ln_det_hankel_reg_exact(b, 0.5, +1),
     "fredholm_det_hankel_reg": lambda b: fredholm_det_hankel_reg(b, 0.5, +1).log,
     "ln_akhiezer_kac_E": ln_akhiezer_kac_E,
-    "factor_product_logdet":
-        lambda b: factor_product_logdet(b, 0.1, 2.0, rule=wh_rule(2.0, panels=4, nodes=8)).log,
     "ln_c_beta": ln_c_beta,
 }
 
@@ -208,8 +206,6 @@ STRIP_TABLE = {
     "det_wr_pm_hr": (lambda b: det_wr_pm_hr(TruncatedWH(_vhat(b), 2.0, _small_rule(), +1)),
                      KERNEL_EDGES, 0.3),
     "det_w2r": (lambda b: det_w2r(_vhat(b), 2.0, _small_rule()), KERNEL_EDGES, 0.3),
-    "factor_product_logdet":
-        (lambda b: factor_product_logdet(b, 0.1, 2.0, rule=_small_rule()), KERNEL_EDGES, -0.9),
     "CircleSymbol": (lambda b: CircleSymbol(CircleKind.VBETA, beta=b), FINITE_EDGES, 2.7),
     "LineSymbol(UHAT_EPS)": (lambda b: LineSymbol(LineKind.UHAT_EPS, beta=b, eps=0.1),
                              FINITE_EDGES, 2.7),
@@ -319,7 +315,6 @@ def test_integer_index_kinds_accepted():
 OTHER_INTERVALS = {
     "det_wr_pm_hr": lambda rule, R: det_wr_pm_hr(TruncatedWH(_vhat(0.3), R, rule)),
     "det_w2r": lambda rule, R: det_w2r(_vhat(0.3), R, rule),
-    "factor_product_logdet": lambda rule, R: factor_product_logdet(0.3, 0.1, R, rule=rule),
 }
 
 
@@ -347,9 +342,6 @@ BAD_LENGTHS = {
     "wh_rule(R=inf)": lambda: wh_rule(INF),
     "wh_rule(panels=0)": lambda: wh_rule(10.0, panels=0),
     "det_w2r(R2=nan)": lambda: det_w2r(_vhat(0.3), NAN),
-    "factor_product_logdet(R=nan)": lambda: factor_product_logdet(0.3, 0.1, NAN),
-    "factor_product_logdet(eps=nan)": lambda: factor_product_logdet(0.3, NAN, 2.0),
-    "factor_product_logdet(eps=2)": lambda: factor_product_logdet(0.3, 2.0, 2.0),
     "KernelSpec(KHAT_R, R=nan)": lambda: KernelSpec(KernelFamily.KHAT_R, beta=0.3, R=NAN),
     "finite_section_quotient(R=nan)": lambda: finite_section_quotient(0.3, +1, R=NAN),
     "hankel_section_inverse_det(N=nan)":
@@ -369,9 +361,35 @@ BAD_LENGTHS = {
 
 @pytest.mark.parametrize("name", sorted(BAD_LENGTHS))
 def test_bad_length_rejected_before_assembly(name, monkeypatch):
-    for module, attr in ((wienerhopf, "gauss_rule"), (wienerhopf, "cut_rule"),
+    for module, attr in ((wienerhopf, "gauss_rule"), (wienerhopf, "cut_kernel"),
                          (wienerhopf, "expsum_logdet"), (fredholm, "nystrom"),
                          (structured, "jump_coeff_sum")):
         monkeypatch.setattr(module, attr, _unreachable)
     with pytest.raises(DomainError):
         BAD_LENGTHS[name]()
+
+
+# every Wiener-Hopf route, given a malformed rule on [0, 2]: an empty rule
+# and nodes and weights of different lengths raised IndexError in
+# expsum_logdet; det_wr_pm_hr(vhat_eps(0.3, 0.1)) with the nodes {-50, 1}
+# returned ln|det| = 95.49, a NaN node SingularMatrix, and the nodes
+# {1, 2.5} or {inf, 1} a value, each read past the kernel's window
+MALFORMED_RULES = {
+    "empty": ([], []),
+    "one weight short": ([0.5, 1.0], [0.5]),
+    "node below 0": ([-50.0, 1.0], [1.0, 1.0]),
+    "node past R": ([1.0, 2.5], [1.0, 1.0]),
+    "nan node": ([NAN, 1.0], [1.0, 1.0]),
+    "inf node": ([INF, 1.0], [1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(OTHER_INTERVALS))
+@pytest.mark.parametrize("name", sorted(MALFORMED_RULES))
+def test_malformed_rule_rejected_before_assembly(name, route, monkeypatch):
+    nodes, weights = MALFORMED_RULES[name]
+    for attr in ("cut_kernel", "expsum_logdet"):
+        monkeypatch.setattr(wienerhopf, attr, _unreachable)
+    rule = QuadRule(np.array(nodes), np.array(weights), (0.0, 2.0))
+    with pytest.raises(DomainError, match="rule"):
+        OTHER_INTERVALS[route](rule, 2.0)

@@ -28,7 +28,6 @@ from whdet import (
     default_rule,
     det_w2r,
     det_wr_pm_hr,
-    factor_product_logdet,
     fredholm_det_hankel_reg,
     fredholm_logdet,
     hankel_section_inverse_det,
@@ -75,8 +74,6 @@ ROUTES = {
     "det_w2r(sech)": (BetaContext.SECH,
                       lambda b: det_w2r(LineSymbol(LineKind.PHI, beta=b), 6.0,
                                         reflected_union_rule(_RULE))),
-    "factor_product_logdet": (BetaContext.KERNEL_FAMILY,
-                              lambda b: factor_product_logdet(b, 0.1, 3.0, rule=_RULE)),
     "fredholm_logdet+": (BetaContext.KERNEL_FAMILY, lambda b: fredholm_logdet(_keps(b), +1)),
     "fredholm_logdet-": (BetaContext.KERNEL_FAMILY, lambda b: fredholm_logdet(_keps(b), -1)),
     "fredholm_det_hankel_reg": (BetaContext.KERNEL_FAMILY,

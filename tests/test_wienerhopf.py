@@ -1,5 +1,5 @@
 """Truncated Wiener-Hopf +- Hankel determinants: doubling identity,
-sech laboratory, factor-product determinant, geometric means."""
+sech laboratory, geometric means."""
 
 import math
 
@@ -21,7 +21,6 @@ from whdet import (
     det_w2r,
     det_wr_pm_hr,
     eval_line,
-    factor_product_logdet,
     finite_section_quotient,
     geometric_mean_log,
     ln_akhiezer_kac_E,
@@ -234,16 +233,6 @@ class TestGeometricMean:
         # log(1/(1+x^2)) ~ -2 log|x| at infinity: not integrable
         with pytest.raises(AssertionError):
             geometric_mean_log_numeric(lambda x: 1.0 / (1.0 + x * x))
-
-
-class TestFactorProduct:
-    def test_factor_product_matches_geometric_mean(self):
-        # det[W_R(a_-) W_R(a_+)] = G[a]^R = e^{-b(1-eps)R}
-        b, eps, R = 0.3, 1e-2, 10.0
-        ld = factor_product_logdet(b, eps, R, rule=wh_rule(R, panels=48))
-        target = -b * (1 - eps) * R
-        assert abs(ld.ln_abs - target) < 1e-4
-        assert abs(ld.arg) < 1e-10
 
 
 class TestCutAssemblyRange:
